@@ -77,6 +77,10 @@ typedef struct {
      * substep's values for guard forensics */
     void *rhs;
     void *sol;
+    /* solver-guard clean path (solver_cycle_checked) */
+    void *snap;     /* (2, B, n_react) cycle-start [react_v | react_i] */
+    void *sq;       /* (B,) per-lane solution sum of squares */
+    void *limit_sq; /* (B,) per-lane squared spike limit */
 } SolverState;
 
 /* Advance every lane `nsub` trapezoidal steps.  Returns 0, or
@@ -178,4 +182,40 @@ i64 solver_step_n(SolverState *st, i64 nsub) {
         }
     }
     return 0;
+}
+
+/* One guarded co-sim cycle: the solver guard's clean path fused around
+ * solver_step_n.  Snapshots the cycle-start reactive state into `snap`
+ * (v plane, then i plane), advances `nsub` substeps, and leaves each
+ * lane's solution sum of squares in `sq`, accumulated in index order
+ * (the order of NumPy's add.accumulate along the row, which the NumPy
+ * oracle uses, so both backends produce the same bits).  Returns the
+ * solver_step_n error code, or the number of lanes whose sum of
+ * squares is not below their limit_sq (NaN fails): 0 proves every
+ * lane's every entry is inside its spike limit. */
+i64 solver_cycle_checked(SolverState *st, i64 nsub) {
+    const i64 B = st->n_lanes;
+    const i64 SZ = st->size;
+    const size_t plane = (size_t)(B * st->n_react) * sizeof(double);
+    double *snap = (double *)st->snap;
+    double *sq = (double *)st->sq;
+    double *limit_sq = (double *)st->limit_sq;
+    double *sol = (double *)st->sol;
+
+    memcpy(snap, st->react_v, plane);
+    memcpy((char *)snap + plane, st->react_i, plane);
+    i64 rc = solver_step_n(st, nsub);
+    if (rc < 0)
+        return rc;
+    i64 suspects = 0;
+    for (i64 b = 0; b < B; b++) {
+        double *row = sol + b * SZ;
+        double s = 0.0;
+        for (i64 j = 0; j < SZ; j++)
+            s = s + row[j] * row[j];
+        sq[b] = s;
+        if (!(s < limit_sq[b]))
+            suspects++;
+    }
+    return suspects;
 }

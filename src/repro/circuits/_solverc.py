@@ -74,12 +74,17 @@ class CSolverState(ctypes.Structure):
         ("vs_vals", _PTR),
         ("rhs", _PTR),
         ("sol", _PTR),
+        ("snap", _PTR),
+        ("sq", _PTR),
+        ("limit_sq", _PTR),
     ]
 
 
 def _configure(lib: ctypes.CDLL) -> None:
     lib.solver_step_n.argtypes = [ctypes.POINTER(CSolverState), _I64]
     lib.solver_step_n.restype = _I64
+    lib.solver_cycle_checked.argtypes = [ctypes.POINTER(CSolverState), _I64]
+    lib.solver_cycle_checked.restype = _I64
 
 
 _BUILD = KernelBuild(

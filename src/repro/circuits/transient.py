@@ -678,12 +678,12 @@ class BatchTransientSolver:
     per-column solves.  On BLAS builds whose blocked ``trsm`` reorders
     dot-product accumulations for NRHS > 1 (every OpenBLAS tested), the
     probe fails and the shard stays on per-lane NRHS=1 solves against
-    the shared LU — bit-identity against ``run_cosim`` is this engine's
-    correctness oracle and always wins over the batched solve.  A
-    mid-run :meth:`TransientSolver.refactor` marks the lane map dirty,
-    and the next step regroups: the refactored lane splits into its own
-    shard and the surviving shard is untouched, so fault injection and
-    guard recovery keep working unchanged.
+    the shared LU — bit-identity against B serial solver runs is this
+    engine's correctness contract and always wins over the batched
+    solve.  A mid-run :meth:`TransientSolver.refactor` marks the lane
+    map dirty, and the next step regroups: the refactored lane splits
+    into its own shard and the surviving shard is untouched, so fault
+    injection and guard recovery keep working unchanged.
 
     ``step_n`` additionally offers a compiled backend
     (``REPRO_SOLVER_BACKEND=c``, the default when eligible): the whole
@@ -759,6 +759,17 @@ class BatchTransientSolver:
         self._react_v_bt[:] = [s._react_v for s in self.solvers]
         self._react_i_bt[:] = [s._react_i for s in self.solvers]
         self._sol_bt = np.stack([s.solution for s in self.solvers])
+        self._node_bt = self._sol_bt[:, : self.num_nodes]
+        # Solver-guard clean path (see step_n): once a BatchSolverGuard
+        # arms the batch (``_guarded``), every step_n also snapshots the
+        # cycle-start reactive state, leaves the per-lane solution sum
+        # of squares, and counts lanes at or over their squared limit.
+        self._guarded = False
+        self._snap_vi_bt = np.empty_like(self._react_vi_bt)
+        self._sq_bt = np.empty(n_lanes)
+        self._limit_sq_bt = np.full(n_lanes, np.inf)
+        self._suspects = 0
+        self._sq_work: Optional[np.ndarray] = None
         self._vs_bt = np.stack([s._vs_values for s in self.solvers])
         for i, s in enumerate(self.solvers):
             nc = s._num_cap
@@ -1179,6 +1190,9 @@ class BatchTransientSolver:
             vs_vals=ptr(self._vs_bt),
             rhs=ptr(self._rhs_bt),
             sol=ptr(self._sol_bt),
+            snap=ptr(self._snap_vi_bt),
+            sq=ptr(self._sq_bt),
+            limit_sq=ptr(self._limit_sq_bt),
         )
         self._c_refs = [
             lu_addr, piv_addr, cs_dst, cs_src, scat_idx, scat_src,
@@ -1196,6 +1210,13 @@ class BatchTransientSolver:
         one C call (see ``_solverc.c``).  Defers to the per-step loop
         when ``step`` has been instance-patched (fault hooks and tests
         wrap ``batch.step``; a fused path must not bypass them).
+
+        Once a :class:`BatchSolverGuard` has armed the batch, the same
+        call first snapshots the reactive state into ``_snap_vi_bt``
+        and afterwards leaves each lane's solution sum of squares in
+        ``_sq_bt`` (accumulated in index order on both backends, so
+        the bits agree) and the count of lanes failing
+        ``sq < _limit_sq_bt`` (NaN fails) in ``_suspects``.
         """
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
@@ -1206,12 +1227,16 @@ class BatchTransientSolver:
                 self._rebuild_lanes()
             if self._c_state is None:
                 self._build_c_state()
-            rc = self._clib.solver_step_n(self._c_state_ptr, n)
+            if self._guarded:
+                rc = self._clib.solver_cycle_checked(self._c_state_ptr, n)
+            else:
+                rc = self._clib.solver_step_n(self._c_state_ptr, n)
             if rc < 0:
                 raise RuntimeError(
                     "C solver kernel: dgetrs rejected its arguments "
                     f"on lane {-rc - 1}"
                 )
+            self._suspects = rc
             self._last_rhs_bt = self._rhs_bt
             # Times advance by the same sequential accumulation the
             # per-step path performs (t += dt, n times), keeping every
@@ -1223,11 +1248,22 @@ class BatchTransientSolver:
             for s, st in zip(self.solvers, self._stats_list):
                 st.steps += n
                 s.time = t
-            return self._sol_bt[:, : self.num_nodes]
-        node_bt = None
+            return self._node_bt
+        if self._guarded:
+            np.copyto(self._snap_vi_bt, self._react_vi_bt)
         for _ in range(n):
-            node_bt = self.step()
-        return node_bt
+            self.step()
+        if self._guarded:
+            if self._sq_work is None:
+                self._sq_work = np.empty_like(self._sol_bt)
+            acc = self._sq_work
+            np.multiply(self._sol_bt, self._sol_bt, out=acc)
+            np.add.accumulate(acc, axis=1, out=acc)
+            np.copyto(self._sq_bt, acc[:, -1])
+            self._suspects = int(
+                np.count_nonzero(~(self._sq_bt < self._limit_sq_bt))
+            )
+        return self._node_bt
 
     # ------------------------------------------------------------------
     def vsource_currents(
@@ -1573,8 +1609,11 @@ class SolverGuard:
 class BatchSolverGuard:
     """Guard-rail over a :class:`BatchTransientSolver`'s fused cycle.
 
-    The clean path is the fused batch step plus one per-lane peak scan.
-    When lanes misbehave, only the offenders are rolled back to the
+    The clean path is one :meth:`BatchTransientSolver.step_n` call —
+    which, once this guard arms the batch, fuses the cycle-start
+    snapshot and the per-lane sum-of-squares health proof around the
+    substeps — plus one integer check, so it stays cheap at B=1.  When
+    lanes misbehave, only the offenders are rolled back to the
     cycle-start snapshot and re-run serially through their per-lane
     :class:`SolverGuard` (the serial step is bit-identical to the fused
     one, so healthy lanes are untouched and recovered lanes land on
@@ -1609,16 +1648,13 @@ class BatchSolverGuard:
                 raise ValueError("guard/lane pairing is misaligned")
         self.guards = guards
         self._limits = np.array([g.spike_limit_v for g in guards])
-        # Preallocated buffers for the per-cycle snapshot and health
-        # scan: the clean path must not allocate (B, size) temporaries.
-        self._snap_vi = np.empty_like(batch._react_vi_bt)
+        # Arm the batch: its step_n now fills the clean-path snapshot
+        # and health proof against these per-lane limits.
+        np.multiply(self._limits, self._limits, out=batch._limit_sq_bt)
+        batch._guarded = True
+        # Suspicious-cycle extrema buffers (temp-free per-row scan).
         self._mx = np.empty(len(guards))
         self._mn = np.empty(len(guards))
-        # Per-row sum-of-squares buffer for the cheap health proof
-        # (see SolverGuard: ``x . x < limit^2`` implies no spike).
-        self._sq = np.empty(len(guards))
-        self._limit_sq = self._limits * self._limits
-        self._ok = np.empty(len(guards), dtype=bool)
 
     def counters(self) -> Dict[str, int]:
         total = {
@@ -1643,20 +1679,22 @@ class BatchSolverGuard:
         """
         batch = self.batch
         solvers = batch.solvers
-        # One contiguous copy snapshots both reactive planes (the batch
-        # keeps v/i stacked in a single (2, B, R) block for this).
-        snap = self._snap_vi
-        np.copyto(snap, batch._react_vi_bt)
-        v0, i0 = snap[0], snap[1]
         t0 = solvers[0].time
-
-        blown = False
+        # One fused call snapshots the cycle-start state, steps, and
+        # proves health per row: a sum of squares under ``limit^2``
+        # certifies every entry is inside the spike limit (NaN/Inf
+        # contaminate the row's sum and fail the comparison).
         try:
             batch.step_n(substeps)
+            suspects = batch._suspects
         except _SOLVE_ERRORS:
-            blown = True
+            suspects = -1
+        if not suspects:
+            return batch._node_bt, {}
+        snap = batch._snap_vi_bt
+        v0, i0 = snap[0], snap[1]
 
-        if blown:
+        if suspects < 0:
             # The fused step died partway through a substep, so every
             # lane's state is suspect: roll them all back and redo each
             # serially (bit-identical to the fused path for lanes that
@@ -1666,22 +1704,14 @@ class BatchSolverGuard:
             for s in solvers:
                 s.time = t0
         else:
-            # Cheap sufficient health proof per row: a sum of squares
-            # under ``limit^2`` certifies every entry is inside the
-            # spike limit in one fused reduction (NaN/Inf contaminate
-            # the row's dot and fail the comparison).
-            sol = batch._sol_bt
-            np.einsum("ij,ij->i", sol, sol, out=self._sq)
-            np.less(self._sq, self._limit_sq, out=self._ok)
-            if self._ok.all():
-                return sol[:, : batch.num_nodes], {}
             # Suspicious batch: precise temp-free per-row extrema
             # (NaN rows fail both compares).
+            sol = batch._sol_bt
             sol.max(axis=1, out=self._mx)
             sol.min(axis=1, out=self._mn)
             healthy = (self._mx < self._limits) & (self._mn > -self._limits)
             if healthy.all():
-                return sol[:, : batch.num_nodes], {}
+                return batch._node_bt, {}
             bad_rows = np.flatnonzero(~healthy)
 
         failures: Dict[int, NumericalDivergence] = {}
@@ -1695,4 +1725,4 @@ class BatchSolverGuard:
                 self.guards[row].step_cycle(substeps, cycle=cycle)
             except NumericalDivergence as exc:
                 failures[row] = exc
-        return batch._sol_bt[:, : batch.num_nodes], failures
+        return batch._node_bt, failures

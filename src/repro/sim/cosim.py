@@ -31,7 +31,6 @@ import numpy as np
 from repro.circuits import (
     BatchSolverGuard,
     BatchTransientSolver,
-    NumericalDivergence,
     SolverGuard,
     TransientSolver,
 )
@@ -45,13 +44,14 @@ from repro.core.controller import (
 )
 from repro.gpu.gpu import GPU
 from repro.gpu.kernels import KernelSpec
-from repro.pdn.builder import StackedPDN, build_stacked_pdn
+from repro.pdn.builder import build_stacked_pdn
 from repro.pdn.efficiency import (
     EfficiencyBreakdown,
     layer_shuffle_power,
     pde_voltage_stacked,
 )
 from repro.pdn.parameters import DEFAULT_PDN, PDNParameters
+from repro.telemetry.flight import BLOCK_CYCLES, FlightRecorder
 from repro.workloads.benchmarks import get_benchmark
 from repro.workloads.traces import PowerTrace
 
@@ -278,11 +278,16 @@ def run_cosim(
     ``benchmark`` picks a paper workload; pass ``kernel`` to run a
     custom :class:`KernelSpec` instead (with default memory behaviour).
 
+    This is :func:`run_cosim_batch` with a batch of one lane: both entry
+    points share the one per-cycle co-sim loop.  What differs is the
+    telemetry, which here is the single run's full manifest.
+
     ``telemetry`` (a :class:`repro.telemetry.Telemetry`) records the
     per-stage wall-clock split (GPU model / transient solve /
-    controller), solver and controller work counters, decimated
-    per-cycle voltage/power channels, and headline metrics.  ``None``
-    (the default) leaves the hot loop on its untimed fast path.
+    controller / record), solver and controller work counters,
+    decimated per-cycle voltage/power channels, the noise and fault
+    sections, and headline metrics.  ``None`` (the default) leaves the
+    hot loop on its untimed fast path.
 
     ``flight`` (a :class:`repro.telemetry.FlightRecorder`) rides the
     loop and captures full-resolution windows around guardband onsets
@@ -292,378 +297,64 @@ def run_cosim(
     attached as ``result.flight``.
     """
     tele = telemetry if telemetry is not None and telemetry.enabled else None
-    setup_start = perf_counter()
     if tele is not None:
         tele.event("cosim_start", benchmark=benchmark, cycles=config.cycles,
                    warmup_cycles=config.warmup_cycles, seed=config.seed)
-
-    stack = system.stack
-    if kernel is None:
-        spec = get_benchmark(benchmark)
-        gpu = GPU(
-            spec.kernel, config=system, seed=config.seed,
-            miss_ratio=spec.miss_ratio, jitter=spec.jitter,
-            vectorized=config.vectorized_gpu,
-        )
-        name = spec.name
-    else:
-        gpu = GPU(
-            kernel, config=system, seed=config.seed,
-            vectorized=config.vectorized_gpu,
-        )
-        name = kernel.name
-
-    pdn = build_stacked_pdn(
-        stack=stack, params=params, cr_ivr_area_mm2=config.cr_ivr_area_mm2
-    )
-    cycle_s = system.gpu.cycle_time_s
-    solver = TransientSolver(pdn.circuit, dt=cycle_s / config.circuit_substeps)
-    # Seed the circuit at a balanced operating point.
-    nominal_current = (
-        system.power.sm_peak_power_w * 0.5 / stack.sm_voltage
-    )
-    pdn.set_sm_currents(np.full(stack.num_sms, nominal_current))
-    solver.initialize_dc()
-    guard = SolverGuard(solver) if config.solver_guard else None
-    # Chaos harness (repro.faults.chaos): pre-resolve the scheduled
-    # cycles so an inactive run pays one None check per cycle.
-    monkey = chaos.current()
-    chaos_cycles = monkey.cycle_schedule() if monkey is not None else None
-
-    injector = None
-    if config.faults is not None:
-        from repro.faults.injector import FaultInjector
-
-        injector = FaultInjector(
-            config.faults, stack, pdn=pdn, solver=solver
-        )
-        if tele is not None:
+        if config.faults is not None:
             tele.event(
                 "faults_armed", schedule=config.faults.name,
                 num_events=len(config.faults), seed=config.faults.seed,
             )
-
-    controller = None
-    controller_power = 0.0
-    if config.use_controller:
-        if config.controller_object is not None:
-            controller = config.controller_object
-        else:
-            controller = VoltageSmoothingController(
-                stack=stack,
-                config=config.controller,
-                actuation=config.actuation,
-                dt_s=cycle_s,
-            )
-        from repro.core.overheads import ControllerOverheads
-
-        controller_power = ControllerOverheads().power_w
-
-    num = stack.num_sms
-    # The droop flight recorder: always-on alongside telemetry (cost
-    # gated by benchmarks/test_perf_observability.py), opt-in otherwise.
-    if flight is None and tele is not None:
-        from repro.telemetry.flight import FlightRecorder
-
-        flight = FlightRecorder(
-            num_sms=num,
-            guardband_v=stack.min_safe_voltage,
-            cycle_offset=-config.warmup_cycles,
-        )
-    elif flight is False:
-        flight = None
-    # Whether the controller exposes the safe-state flag the recorder
-    # samples (duck-typed alternatives may not).
-    flight_safe = flight is not None and hasattr(controller, "in_safe_state")
-
-    # Vectorized SM-voltage readout: (top, bottom) node indices per SM.
-    top_idx = np.empty(num, dtype=int)
-    bot_idx = np.empty(num, dtype=int)
-    bot_is_ground = np.zeros(num, dtype=bool)
-    for sm in range(num):
-        top, bottom = pdn.sm_terminals(sm)
-        top_idx[sm] = solver.structure.node(top)
-        if bottom == "0":
-            bot_is_ground[sm] = True
-            bot_idx[sm] = 0
-        else:
-            bot_idx[sm] = solver.structure.node(bottom)
-
-    sm_voltages = np.empty((config.cycles, num))
-    powers_rec = np.empty((config.cycles, num))
-    supply_current = np.empty(config.cycles)
-    dcc_powers = np.zeros(num)
-    voltages_now = np.full(num, stack.sm_voltage)
-    shutoff_sms: List[int] = (
-        stack.sms_in_layer(config.shutoff.layer) if config.shutoff else []
+    flights = flight if flight is None or flight is False else [flight]
+    (result,) = _run_lanes(
+        [CosimLane(benchmark, config, kernel)], system, params, tele,
+        flights, lane_manifest=True,
     )
-
-    conductance_bias = params.sm_conductance * stack.sm_voltage
-    total_cycles = config.warmup_cycles + config.cycles
-    dcc_energy_accum = 0.0
-    # All work counters are measured over the recorded window only:
-    # each is snapshotted at the warmup boundary and subtracted at the
-    # end, so warmup cycles never inflate fake-instruction counts or
-    # throttle fractions (the Fig. 13/14 inputs).
-    instructions_at_start = 0
-    fakes_at_start = 0
-    throttled_at_start = 0
-    # Telemetry: stage accumulators.  ``timing`` gates five perf_counter
-    # reads per cycle; with telemetry off the loop body is branch-only.
-    timing = tele is not None
-    decision = None  # last controller decision (flight recorder sample)
-    divergence: Optional[NumericalDivergence] = None
-    recorded_count = config.cycles
-    t_gpu = t_circuit = t_controller = t_record = 0.0
-    if timing:
-        tele.add_time("setup", perf_counter() - setup_start)
-        v_chan = tele.channel("min_sm_voltage_v")
-        p_chan = tele.channel("total_power_w")
-        d_chan = tele.channel("dcc_power_w")
-        li_chan = tele.channel("worst_layer_imbalance_w")
-    loop_start = perf_counter()
-    for cycle in range(total_cycles):
-        recording = cycle >= config.warmup_cycles
-        if cycle == config.warmup_cycles:
-            instructions_at_start = gpu.total_instructions()
-            fakes_at_start = gpu.total_fake_instructions()
-            if controller is not None:
-                throttled_at_start = controller.throttled_cycles
-
-        # Fault-event timing shares the shutoff convention: cycle 0 of
-        # an event window is the end of warmup.
-        recorded_cycle = cycle - config.warmup_cycles
-
-        # 1. GPU cycle under the actuation currently in force.
-        if timing:
-            t0 = perf_counter()
-        powers = gpu.step()
-        if injector is not None:
-            # Circuit faults mutate element values (one re-factorization
-            # per activation edge, before this cycle's solve); process
-            # variation scales the emitted powers *before* they become
-            # currents or records, keeping the PDE ledger closed.
-            injector.apply_circuit_faults(recorded_cycle)
-            powers = injector.scale_powers(recorded_cycle, powers)
-            scales = injector.frequency_scales(recorded_cycle)
-            if scales is not None:
-                gpu.set_frequency_scales(scales)
-        if timing:
-            t1 = perf_counter()
-            t_gpu += t1 - t0
-
-        # 2. Powers -> PDN currents.  Per the paper's convention each SM
-        # is a time-varying *ideal* current source: I = P / V_nominal.
-        # (Dividing by the instantaneous voltage would add the classic
-        # constant-power negative resistance and destabilize the grid.)
-        # The netlist's small-signal load conductance already draws
-        # ~g*V per SM, so that bias is deducted from the source to keep
-        # the total SM draw equal to P / V_nominal.
-        currents = (powers + dcc_powers) / stack.sm_voltage - conductance_bias
-        pdn.set_sm_currents(np.maximum(currents, 0.0))
-        if recording:
-            # The DCC power *applied* this cycle (last decision's
-            # command, just injected as current above).  Captured before
-            # the controller updates dcc_powers for the next cycle, so
-            # mean_dcc_power_w ledgers what the PDN actually saw — not
-            # the final cycle's never-applied command.
-            dcc_applied_w = float(dcc_powers.sum())
-
-        # 3. Circuit transient over one clock period.
-        if chaos_cycles is not None and recorded_cycle in chaos_cycles:
-            for event in monkey.take_cycle(recorded_cycle):
-                # Lane-targeted events belong to run_cosim_batch; the
-                # serial loop honours only untargeted poisoning.
-                if event.action == "nan_poison" and event.lane is None:
-                    solver._react_v[:] = np.nan
-        if guard is not None:
-            try:
-                node_v = guard.step_cycle(
-                    config.circuit_substeps, cycle=recorded_cycle
-                )
-            except NumericalDivergence as exc:
-                # Structured diverged verdict: truncate the recording at
-                # the last completed cycle and stop simulating.
-                divergence = exc
-                recorded_count = max(0, cycle - config.warmup_cycles)
-                break
-        else:
-            for _ in range(config.circuit_substeps):
-                node_v = solver.step()
-        bottoms = np.where(bot_is_ground, 0.0, node_v[bot_idx])
-        voltages_now = node_v[top_idx] - bottoms
-        if timing:
-            t2 = perf_counter()
-            t_circuit += t2 - t1
-
-        # Halted SMs (legacy shutoff event + scheduled layer shutoffs /
-        # power gating) must not block the kernel-launch barrier.
-        halted: set = set()
-        if config.shutoff is not None and config.shutoff.active(recorded_cycle):
-            halted.update(shutoff_sms)
-        if injector is not None:
-            halted.update(injector.halted_sms(recorded_cycle))
-        if config.shutoff is not None or injector is not None:
-            gpu.barrier_exempt = halted
-        halted_idx = sorted(halted)
-
-        # 4. Detection + control (commands apply after the loop latency).
-        # Ownership contract: decision arrays belong to the controller
-        # and are immutable once enqueued (commands_for caches a
-        # throttle flag on that assumption) — every value retained or
-        # mutated here is copied at this boundary.  widths is mutated
-        # (halted SMs) so it is always copied; fakes is consumed
-        # synchronously by set_fake_rates (which copies into the
-        # engine); dcc is retained across cycles in dcc_powers, so it
-        # is copied into the loop-owned buffer rather than aliased.
-        if controller is not None:
-            if injector is None:
-                controller.observe(cycle, voltages_now)
-                decision = controller.commands_for(cycle)
-                widths = decision.issue_widths.copy()
-                fakes = decision.fake_rates
-                dcc = decision.dcc_powers_w
-            else:
-                # Architecture faults: the detectors see a corrupted
-                # copy of the voltages (or nothing at all this cycle),
-                # and jitter delays which enqueued decision is read.
-                seen = injector.corrupt_sensors(recorded_cycle, voltages_now)
-                if injector.observation_allowed(recorded_cycle):
-                    controller.observe(cycle, seen)
-                decision = controller.commands_for(
-                    cycle - injector.extra_latency(recorded_cycle)
-                )
-                widths = decision.issue_widths.copy()
-                fakes = decision.fake_rates
-                dcc = decision.dcc_powers_w
-                if injector.touches_actuation:
-                    fakes = fakes.copy()
-                    dcc = dcc.copy()
-                    injector.distort_actuation(
-                        recorded_cycle, widths, fakes, dcc
-                    )
-            if halted_idx:
-                widths[halted_idx] = 0.0
-            gpu.set_issue_widths(widths)
-            gpu.set_fake_rates(fakes)
-            np.copyto(dcc_powers, dcc)
-        elif config.shutoff is not None or injector is not None:
-            widths = np.full(num, 2.0)
-            if halted_idx:
-                widths[halted_idx] = 0.0
-            gpu.set_issue_widths(widths)
-        if timing:
-            t3 = perf_counter()
-            t_controller += t3 - t2
-
-        if flight is not None:
-            flight.observe(
-                voltages_now,
-                decision,
-                injector.active_kinds(recorded_cycle)
-                if injector is not None
-                else None,
-                controller.in_safe_state if flight_safe else False,
-            )
-
-        if recording:
-            k = cycle - config.warmup_cycles
-            powers_rec[k] = powers
-            sm_voltages[k] = voltages_now
-            supply_current[k] = solver.vsource_current("vdd")
-            dcc_energy_accum += dcc_applied_w
-            if timing:
-                v_chan.record(k, voltages_now.min())
-                p_chan.record(k, powers.sum())
-                d_chan.record(k, dcc_applied_w)
-                layer_powers = powers.reshape(
-                    stack.num_layers, stack.num_columns
-                ).sum(axis=1)
-                li_chan.record(
-                    k, layer_powers.max() - layer_powers.mean()
-                )
-        if timing:
-            t_record += perf_counter() - t3
-
-    if timing:
-        # Attribute the loop's residual (iteration overhead, warmup
-        # bookkeeping, the timing reads themselves) to its own stage so
-        # the stage sum reconciles with wall-clock time.
-        loop_wall = perf_counter() - loop_start
-        tele.add_time("gpu_model", t_gpu)
-        tele.add_time("transient_solve", t_circuit)
-        tele.add_time("controller", t_controller)
-        tele.add_time("record", t_record)
-        tele.add_time(
-            "loop_other",
-            max(0.0, loop_wall - t_gpu - t_circuit - t_controller - t_record),
-        )
-
-    if divergence is not None:
-        sm_voltages = sm_voltages[:recorded_count]
-        powers_rec = powers_rec[:recorded_count]
-        supply_current = supply_current[:recorded_count]
-
-    trace = PowerTrace(
-        powers_rec, frequency_hz=system.gpu.sm_clock_hz, name=name
-    )
-    # Kernel accounting: a kernel is *completed* in the window when both
-    # its launch and the next launch fall at or after the warmup
-    # boundary, i.e. one completed-kernel interval per np.diff entry.
-    # kernels_completed counts exactly those intervals, so it always
-    # agrees with kernel_durations (a bare launch count would disagree
-    # by one for the still-running kernel, and cycles_per_kernel()'s
-    # guard would check the wrong population).
-    launches = np.asarray(gpu.kernel_launch_cycles)
-    durations = np.diff(launches[launches >= config.warmup_cycles])
-    result = CosimResult(
-        benchmark=name,
-        power_trace=trace,
-        sm_voltages=sm_voltages,
-        supply_current=supply_current,
-        stack=stack,
-        instructions=gpu.total_instructions() - instructions_at_start,
-        fake_instructions=gpu.total_fake_instructions() - fakes_at_start,
-        throttled_cycles=(
-            controller.throttled_cycles - throttled_at_start
-            if controller is not None
-            else 0
-        ),
-        controller_power_w=controller_power,
-        kernels_completed=len(durations),
-        mean_dcc_power_w=dcc_energy_accum / (
-            config.cycles if divergence is None else max(1, recorded_count)
-        ),
-    )
-    result.kernel_durations = durations
-    if divergence is not None:
-        info = divergence.forensics()
-        info["benchmark"] = name
-        result.divergence = info
-    if injector is not None and result.num_cycles > 0:
-        from repro.faults.injector import build_fault_report
-
-        result.fault_report = build_fault_report(injector, result, controller)
-    if flight is not None:
-        if divergence is not None:
-            flight.force_dump(
-                "numerical_divergence",
-                min_voltage_v=(
-                    float("nan")
-                    if divergence.worst_value is None
-                    else float(divergence.worst_value)
-                ),
-            )
-        flight.finalize()
-        result.flight = flight
-        if tele is not None:
-            tele.set_section("flight", flight.summary())
-    if tele is not None:
-        with tele.timer("finalize"):
-            _record_cosim_telemetry(
-                tele, config, result, solver, controller, guard=guard
-            )
     return result
+
+
+def _record_guard_and_backends(tele, guards: List[SolverGuard]) -> None:
+    """Flush guard recovery counters and native-kernel fallbacks."""
+    # Summed over every lane's guard: a rebuilt batch guard only wraps
+    # the survivors, but quarantined lanes' counts must be reported.
+    totals: Dict[str, int] = {}
+    for guard in guards:
+        for key, value in guard.counters().items():
+            totals[key] = totals.get(key, 0) + value
+    for key, value in totals.items():
+        tele.incr(f"guard_{key}", value)
+    # A failed on-demand build of _enginec.c / _solverc.c is warned
+    # about once and surfaced here as a counter: the NumPy fallbacks
+    # are bit-identical but slow, so campaigns must see the perf cliff.
+    from repro.circuits._solverc import build_fallback_count as solver_fb
+    from repro.gpu._cbuild import build_fallback_count as gpu_fb
+
+    for name, count in (
+        ("gpu.backend_fallback", gpu_fb()),
+        ("solver.backend_fallback", solver_fb()),
+    ):
+        if count:
+            tele.incr(name, count)
+
+
+def _record_channels(
+    tele, result: CosimResult, dcc_trace: np.ndarray
+) -> None:
+    """Decimated per-cycle channels of one run's recorded window."""
+    powers = result.power_trace.data
+    stack = result.stack
+    layers = powers.reshape(
+        len(powers), stack.num_layers, stack.num_columns
+    ).sum(axis=2)
+    for name, values in (
+        ("min_sm_voltage_v", result.sm_voltages.min(axis=1)),
+        ("total_power_w", powers.sum(axis=1)),
+        ("dcc_power_w", dcc_trace[: len(powers)]),
+        ("worst_layer_imbalance_w", layers.max(axis=1) - layers.mean(axis=1)),
+    ):
+        channel = tele.channel(name)
+        for k, value in enumerate(values.tolist()):
+            channel.record(k, value)
 
 
 def _record_cosim_telemetry(
@@ -676,24 +367,7 @@ def _record_cosim_telemetry(
     tele.incr("solver_steps", solver.stats.steps)
     tele.incr("solver_factorizations", solver.stats.factorizations)
     tele.incr("solver_dc_solves", solver.stats.dc_solves)
-    if guard is not None:
-        for key, value in guard.counters().items():
-            tele.incr(f"guard_{key}", value)
-    # GPU C-backend fallback accounting: a failed on-demand build of
-    # _enginec.c is warned about once and surfaced here as a counter so
-    # campaigns notice the silent perf cliff.
-    from repro.gpu._cbuild import build_fallback_count
-
-    fallbacks = build_fallback_count()
-    if fallbacks:
-        tele.incr("gpu.backend_fallback", fallbacks)
-    # Same accounting for the batched solver kernel (_solverc.c): the
-    # NumPy fallback is bit-identical but slow, so fleets need to see it.
-    from repro.circuits._solverc import build_fallback_count as _solver_fb
-
-    solver_fallbacks = _solver_fb()
-    if solver_fallbacks:
-        tele.incr("solver.backend_fallback", solver_fallbacks)
+    _record_guard_and_backends(tele, [guard] if guard is not None else [])
     if result.divergence is not None:
         tele.event("numerical_divergence", **result.divergence)
     if controller is not None:
@@ -799,7 +473,7 @@ _LANE_SHARED_FIELDS = (
 
 
 class _BatchLaneState:
-    """Internal per-lane simulation state of ``run_cosim_batch``."""
+    """One lane's simulation objects and per-lane loop bookkeeping."""
 
     __slots__ = (
         "index", "name", "config", "gpu", "pdn", "solver", "injector",
@@ -807,12 +481,69 @@ class _BatchLaneState:
         "instructions_at_start", "fakes_at_start", "throttled_at_start",
         "applied_decision", "applied_halted", "halted_idx",
         "count_from", "active_throttling",
-        "in_fast", "last_decision", "flight", "flight_safe",
+        "last_decision", "flight", "flight_safe", "flight_meta",
         "row", "dead", "dead_at", "divergence", "guard",
     )
 
-    def __init__(self, index: int) -> None:
+    def __init__(
+        self, index: int, lane: CosimLane, system: SystemConfig,
+        params: PDNParameters, currents: np.ndarray,
+    ) -> None:
+        config = lane.config
+        stack = system.stack
+        cycle_s = system.gpu.cycle_time_s
         self.index = index
+        self.config = config
+        if lane.kernel is None:
+            spec = get_benchmark(lane.benchmark)
+            kernel, self.name = spec.kernel, spec.name
+            memory = dict(miss_ratio=spec.miss_ratio, jitter=spec.jitter)
+        else:
+            kernel, self.name, memory = lane.kernel, lane.kernel.name, {}
+        self.gpu = GPU(
+            kernel, config=system, seed=config.seed,
+            vectorized=config.vectorized_gpu, **memory,
+        )
+        self.pdn = build_stacked_pdn(
+            stack=stack, params=params, cr_ivr_area_mm2=config.cr_ivr_area_mm2
+        )
+        # Bind the lane's current sources to its batch row *before* the
+        # solver caches its gather maps, then seed the circuit at a
+        # balanced operating point.
+        self.pdn.bind_current_buffer(currents)
+        self.solver = TransientSolver(
+            self.pdn.circuit, dt=cycle_s / config.circuit_substeps
+        )
+        self.pdn.set_sm_currents(np.full(
+            stack.num_sms,
+            system.power.sm_peak_power_w * 0.5 / stack.sm_voltage,
+        ))
+        self.solver.initialize_dc()
+        self.guard = None
+        if config.solver_guard:
+            self.guard = SolverGuard(self.solver, lane=index)
+        self.injector = None
+        if config.faults is not None:
+            from repro.faults.injector import FaultInjector
+
+            self.injector = FaultInjector(
+                config.faults, stack, pdn=self.pdn, solver=self.solver
+            )
+        self.controller = None
+        self.controller_power = 0.0
+        if config.use_controller:
+            self.controller = config.controller_object
+            if self.controller is None:
+                self.controller = VoltageSmoothingController(
+                    stack=stack, config=config.controller,
+                    actuation=config.actuation, dt_s=cycle_s,
+                )
+            from repro.core.overheads import ControllerOverheads
+
+            self.controller_power = ControllerOverheads().power_w
+        self.shutoff_sms: List[int] = (
+            stack.sms_in_layer(config.shutoff.layer) if config.shutoff else []
+        )
         # Quarantine bookkeeping: ``row`` is the lane's current row in
         # the compacted batch arrays (== index until an eviction);
         # ``dead_at`` is the count of fully recorded cycles when the
@@ -821,19 +552,12 @@ class _BatchLaneState:
         self.dead = False
         self.dead_at = 0
         self.divergence = None
-        self.guard = None
-        self.injector = None
-        self.controller = None
-        self.controller_power = 0.0
         self.in_bank = False
-        # Flight-recorder sampling state: fast lanes read the bank's
-        # active decision; slow lanes record the last commands_for
-        # return here (what serial run_cosim sees each cycle).
-        self.in_fast = False
+        # The decision in force (what the flight recorder samples).
         self.last_decision = None
         self.flight = None
         self.flight_safe = False
-        self.shutoff_sms: List[int] = []
+        self.flight_meta: list = []
         self.instructions_at_start = 0
         self.fakes_at_start = 0
         self.throttled_at_start = 0
@@ -847,10 +571,70 @@ class _BatchLaneState:
         # Event-driven throttle accounting (fast lanes): the active
         # decision's throttle flag covers the half-open cycle span
         # [count_from, next pop); the span length is credited to
-        # throttled_cycles at the next pop/flush, replicating the
-        # serial one-count-per-cycle commands_for bookkeeping.
+        # throttled_cycles at the next pop (or settle), matching the
+        # one-count-per-cycle commands_for bookkeeping.
         self.count_from = 0
         self.active_throttling = False
+
+    def actuate(self, decision, dcc_row: np.ndarray) -> None:
+        """Apply an unhalted lane's decision (the setters copy)."""
+        self.gpu.set_issue_widths(decision.issue_widths)
+        self.gpu.set_fake_rates(decision.fake_rates)
+        np.copyto(dcc_row, decision.dcc_powers_w)
+        self.applied_decision = self.last_decision = decision
+
+
+def _lane_dcc_possible(ln: _BatchLaneState) -> bool:
+    """Whether a lane can ever command nonzero DCC power."""
+    if ln.injector is not None and ln.injector.touches_actuation:
+        return True
+    if ln.controller is None:
+        return False
+    if ln.config.controller_object is not None:
+        return True
+    w3 = getattr(getattr(ln.controller, "actuation", None), "w3", None)
+    return w3 is None or w3 != 0.0
+
+
+def _buffers(rows: int, num: int, flight_lanes: list):
+    """Per-cycle work blocks: currents, readout bottoms, voltages.
+
+    The currents math and node->SM voltage readout run as out= ufuncs
+    on these (at small B the loop is dispatch-bound, so every avoided
+    temporary counts).  With flight lanes the readout rotates through
+    a (BLOCK_CYCLES, rows, num) stage, and each full stage reaches the
+    recorders in one observe_block call per lane.
+    """
+    depth = BLOCK_CYCLES if flight_lanes else 1
+    return (
+        np.empty((rows, num)), np.empty((rows, num)),
+        np.empty((depth, rows, num)),
+    )
+
+
+def _flush_flights(
+    lanes: List[_BatchLaneState], stage: np.ndarray, staged: int
+) -> None:
+    """Hand each flight lane its ``staged`` buffered cycles."""
+    for ln in lanes:
+        ln.flight.observe_block(stage[:staged, ln.row], ln.flight_meta)
+        ln.flight_meta.clear()
+
+
+def _throttles(controller, decision) -> bool:
+    """Whether ``decision`` throttles any SM below the default width."""
+    return bool(np.any(
+        decision.issue_widths < controller._default_issue_width
+    ))
+
+
+def _settle_throttle_span(ln: _BatchLaneState, cycle: int) -> None:
+    """Count a fast lane's throttling as if ``commands_for`` had run
+    once per cycle up to ``cycle - 1``."""
+    if ln.active_throttling:
+        ln.controller.throttled_cycles += cycle - ln.count_from
+    ln.count_from = cycle
+    ln.controller._counted_through_cycle = cycle - 1
 
 
 def run_cosim_batch(
@@ -862,26 +646,26 @@ def run_cosim_batch(
 ) -> List[CosimResult]:
     """Run B co-simulation scenarios lock-stepped as one batch.
 
-    Semantically equivalent to ``[run_cosim(l.benchmark, l.config, ...)
-    for l in lanes]`` — and *bit-identical* to it: every array op that
-    crosses the batch axis is elementwise with per-lane broadcasts (or a
-    row-wise reduction), the circuit back-substitution stays one LAPACK
-    call per lane, and everything data-dependent (kernel scheduling,
-    fault RNG, triggered controller decisions) runs on per-lane objects.
-    The serial path is the correctness oracle; the batch exists for
-    throughput (one NumPy dispatch per array op instead of B).
+    Every lane's result is *bit-identical* to running that lane alone
+    (``run_cosim`` is this loop with one lane): ops across the batch
+    axis are elementwise or row-wise, the circuit back-substitution
+    stays one LAPACK call per lane, and everything data-dependent
+    (kernel scheduling, fault RNG, triggered controller decisions) runs
+    on per-lane objects.  The batch exists for throughput: one NumPy
+    dispatch per array op instead of B.  The serial loop it is checked
+    against lives in the test suite (``tests/oracles/serial_cosim.py``).
 
     All lanes must share the topology-family fields of
-    :class:`CosimLane`.  ``telemetry`` records batch-level stage timings
-    and events only; per-lane manifest sections (noise report, decimated
-    channels) remain a ``run_cosim`` feature.
+    :class:`CosimLane`.  ``telemetry`` records the stage split (setup /
+    gpu_model / transient_solve / controller / record / loop_other /
+    finalize), guard and quarantine counters, and events; per-lane
+    manifest sections (noise report, decimated channels) remain a
+    ``run_cosim`` feature.
 
     ``flights`` is a per-lane list of
     :class:`repro.telemetry.FlightRecorder` (``None`` entries skip a
-    lane).  As in ``run_cosim``, recorders are created automatically
-    for every lane when telemetry is enabled (``False`` suppresses
-    that) and attached as ``result.flight``; recording is observation
-    only, so lanes stay bit-identical to their serial runs.
+    lane), created for every lane when telemetry is enabled (``False``
+    suppresses that) and attached as ``result.flight``.
     """
     if not lanes:
         raise ValueError("need at least one lane")
@@ -896,89 +680,57 @@ def run_cosim_batch(
                     f"{field_name} differs ({a} != {b}); run incompatible "
                     "scenarios in separate batches"
                 )
-
     tele = telemetry if telemetry is not None and telemetry.enabled else None
+    if tele is not None:
+        tele.event(
+            "cosim_batch_start", lanes=len(lanes), cycles=first_cfg.cycles,
+            warmup_cycles=first_cfg.warmup_cycles,
+            benchmarks=[lane.benchmark for lane in lanes],
+        )
+    return _run_lanes(
+        lanes, system, params, tele, flights, lane_manifest=False
+    )
+
+
+def _run_lanes(
+    lanes: List[CosimLane],
+    system: SystemConfig,
+    params: PDNParameters,
+    tele: Optional["Telemetry"],
+    flights,
+    lane_manifest: bool,
+) -> List[CosimResult]:
+    """The co-sim loop: GPU step, PDN solve, Algorithm 1, per cycle.
+
+    ``tele`` is an enabled recorder or ``None``.  ``lane_manifest``
+    (single-lane batches from :func:`run_cosim`) records that lane's
+    full manifest — decimated channels, counters, noise / faults /
+    flight sections — through :func:`_record_cosim_telemetry`; without
+    it the recorder gets batch-level counters and events.
+    """
     setup_start = perf_counter()
+    first_cfg = lanes[0].config
     num_lanes = len(lanes)
     stack = system.stack
     num = stack.num_sms
-    cycle_s = system.gpu.cycle_time_s
     conductance_bias = params.sm_conductance * stack.sm_voltage
-    nominal_current = system.power.sm_peak_power_w * 0.5 / stack.sm_voltage
     warmup = first_cfg.warmup_cycles
     cycles = first_cfg.cycles
     substeps = first_cfg.circuit_substeps
     total_cycles = warmup + cycles
-    if tele is not None:
-        tele.event(
-            "cosim_batch_start", lanes=num_lanes, cycles=cycles,
-            warmup_cycles=warmup,
-            benchmarks=[lane.benchmark for lane in lanes],
-        )
 
     # The batch axis: row i of this array is lane i's bound SM current
     # buffer (the PDN sources read it directly; see bind_current_buffer).
     batch_currents = np.zeros((num_lanes, num), dtype=float)
-
-    states: List[_BatchLaneState] = []
-    for i, lane in enumerate(lanes):
-        config = lane.config
-        ln = _BatchLaneState(i)
-        ln.config = config
-        if lane.kernel is None:
-            spec = get_benchmark(lane.benchmark)
-            ln.gpu = GPU(
-                spec.kernel, config=system, seed=config.seed,
-                miss_ratio=spec.miss_ratio, jitter=spec.jitter,
-                vectorized=config.vectorized_gpu,
-            )
-            ln.name = spec.name
-        else:
-            ln.gpu = GPU(
-                lane.kernel, config=system, seed=config.seed,
-                vectorized=config.vectorized_gpu,
-            )
-            ln.name = lane.kernel.name
-        ln.pdn = build_stacked_pdn(
-            stack=stack, params=params, cr_ivr_area_mm2=config.cr_ivr_area_mm2
-        )
-        # Re-bind the lane's current sources onto its batch row *before*
-        # the solver caches its gather maps.
-        ln.pdn.bind_current_buffer(batch_currents[i])
-        ln.solver = TransientSolver(ln.pdn.circuit, dt=cycle_s / substeps)
-        ln.pdn.set_sm_currents(np.full(num, nominal_current))
-        ln.solver.initialize_dc()
-        if config.faults is not None:
-            from repro.faults.injector import FaultInjector
-
-            ln.injector = FaultInjector(
-                config.faults, stack, pdn=ln.pdn, solver=ln.solver
-            )
-        if config.use_controller:
-            if config.controller_object is not None:
-                ln.controller = config.controller_object
-            else:
-                ln.controller = VoltageSmoothingController(
-                    stack=stack,
-                    config=config.controller,
-                    actuation=config.actuation,
-                    dt_s=cycle_s,
-                )
-            from repro.core.overheads import ControllerOverheads
-
-            ln.controller_power = ControllerOverheads().power_w
-        ln.shutoff_sms = (
-            stack.sms_in_layer(config.shutoff.layer) if config.shutoff else []
-        )
-        states.append(ln)
-
+    states = [
+        _BatchLaneState(i, lane, system, params, batch_currents[i])
+        for i, lane in enumerate(lanes)
+    ]
     batch_solver = BatchTransientSolver(
         [ln.solver for ln in states], shared_current_base=batch_currents
     )
     batch_guard = None
     if first_cfg.solver_guard:
-        for ln in states:
-            ln.guard = SolverGuard(ln.solver, lane=ln.index)
         batch_guard = BatchSolverGuard(
             batch_solver, guards=[ln.guard for ln in states]
         )
@@ -992,44 +744,44 @@ def run_cosim_batch(
     gpu_batch = GPUBatch([ln.gpu for ln in states])
     # Quarantine bookkeeping: ``alive`` is the current (compacted) lane
     # order — ``ln.row`` indexes the batch working arrays, ``ln.index``
-    # the full-size recording arrays.  ``alive_idx`` is the fancy-index
-    # map the recording block switches to once a lane has been evicted
-    # (None keeps the basic-slice fast path on the clean run).
+    # the full-size recording arrays, which the recording block writes
+    # through ``alive_idx`` (a basic slice until the first eviction).
     alive: List[_BatchLaneState] = list(states)
-    alive_idx: Optional[np.ndarray] = None
+    alive_idx = slice(None)
 
     # Batched sensor/decision front end for the "fast" lanes: the stock
     # controller with an uncorrupted sensor path.  Lanes with injectors
     # (corrupted/delayed observations) or duck-typed controller objects
-    # keep the serial per-lane code path.
-    bank = None
-    bank_rows: List[int] = []
-    for ln in states:
-        if (
-            ln.injector is None
-            and isinstance(ln.controller, VoltageSmoothingController)
-        ):
-            ln.in_bank = True
-            bank_rows.append(ln.index)
-    if bank_rows:
-        bank = ControllerBank([states[i].controller for i in bank_rows])
-    bank_members = [states[i] for i in bank_rows]
-    bank_rows_arr = np.array(bank_rows, dtype=np.intp)
+    # keep the per-lane observe/commands_for path.
+    bank_members = [
+        ln for ln in states
+        if ln.injector is None
+        and isinstance(ln.controller, VoltageSmoothingController)
+    ]
+    for ln in bank_members:
+        ln.in_bank = True
+    bank = (
+        ControllerBank([ln.controller for ln in bank_members])
+        if bank_members else None
+    )
+    bank_rows_arr = np.array([ln.row for ln in bank_members], dtype=np.intp)
+    all_banked = len(bank_members) == num_lanes
 
     # Per-SM voltage readout indices — identical across lanes (same
     # netlist builder); verified against lane 0 at setup.
     s0 = states[0]
+    node_of = s0.solver.structure.node
     top_idx = np.empty(num, dtype=int)
-    bot_idx = np.empty(num, dtype=int)
-    bot_is_ground = np.zeros(num, dtype=bool)
+    bot_idx = np.zeros(num, dtype=int)
+    ground_cols = []
     for sm in range(num):
         top, bottom = s0.pdn.sm_terminals(sm)
-        top_idx[sm] = s0.solver.structure.node(top)
+        top_idx[sm] = node_of(top)
         if bottom == "0":
-            bot_is_ground[sm] = True
-            bot_idx[sm] = 0
+            ground_cols.append(sm)
         else:
-            bot_idx[sm] = s0.solver.structure.node(bottom)
+            bot_idx[sm] = node_of(bottom)
+    ground_cols = np.array(ground_cols, dtype=np.intp)
     for ln in states[1:]:
         for sm in (0, num - 1):
             if ln.pdn.sm_terminals(sm) != s0.pdn.sm_terminals(sm):
@@ -1040,15 +792,6 @@ def run_cosim_batch(
 
     powers_bt = np.empty((num_lanes, num))
     dcc_bt = np.zeros((num_lanes, num))
-    voltages_bt = np.full((num_lanes, num), stack.sm_voltage)
-    # Per-cycle scratch blocks (rebuilt on quarantine compaction): the
-    # currents math and node->SM voltage extraction run as out= ufuncs
-    # on these, since at small B the loop is dispatch-bound and every
-    # avoided temporary counts.
-    cur_buf = np.empty((num_lanes, num))
-    bot_buf = np.empty((num_lanes, num))
-    volt_buf = np.empty((num_lanes, num))
-    ground_cols = np.flatnonzero(bot_is_ground)
     powers_rec_bt = np.empty((num_lanes, cycles, num))
     sm_voltages_bt = np.empty((num_lanes, cycles, num))
     supply_bt = np.empty((num_lanes, cycles))
@@ -1062,14 +805,13 @@ def run_cosim_batch(
     # Fast lanes — bank-controlled, never halted — apply actuation only
     # when a decision pops out of the latency pipeline (decisions are
     # immutable once enqueued, so nothing can change between pops); the
-    # rest replicate the serial per-cycle commands_for path.
+    # rest run the per-cycle commands_for path.
     # (A pre-used controller object that already counted cycles keeps
-    # the serial per-cycle path: its commands_for skips cycles at or
-    # below _counted_through_cycle, which span accounting cannot see.)
+    # the per-cycle path: its commands_for skips cycles at or below
+    # _counted_through_cycle, which span accounting cannot see.)
     fast_lanes = [
-        ln for ln in states
-        if ln.in_bank
-        and ln.config.shutoff is None
+        ln for ln in bank_members
+        if ln.config.shutoff is None
         and ln.controller._counted_through_cycle < 0
     ]
     slow_ctrl_lanes = [
@@ -1077,43 +819,20 @@ def run_cosim_batch(
         if ln.controller is not None and ln not in fast_lanes
     ]
     for ln in fast_lanes:
-        ln.active_throttling = bool(
-            np.any(
-                ln.controller.active_decision.issue_widths
-                < ln.controller._default_issue_width
-            )
+        ln.active_throttling = _throttles(
+            ln.controller, ln.controller.active_decision
         )
     # Skip the per-cycle applied-DCC reduction when no lane can ever
-    # command nonzero DCC power (w3 == 0 and no actuation-distorting
-    # faults): the serial ledger accumulates exact 0.0 adds, which is
-    # bitwise what an untouched accumulator holds.
-    def _lane_dcc_possible(ln: _BatchLaneState) -> bool:
-        if ln.injector is not None and ln.injector.touches_actuation:
-            return True
-        if ln.controller is None:
-            return False
-        if ln.config.controller_object is not None:
-            return True
-        actuation = getattr(ln.controller, "actuation", None)
-        w3 = getattr(actuation, "w3", None)
-        return w3 is None or w3 != 0.0
-
+    # command nonzero DCC power: the per-cycle ledger would only add
+    # exact 0.0s, which is bitwise what an untouched accumulator holds.
     dcc_possible = any(_lane_dcc_possible(ln) for ln in states)
-    all_banked = len(bank_rows) == num_lanes
 
     # Droop flight recorders: one per lane alongside telemetry (or as
-    # passed), observation-only so bit-identity with serial runs holds.
-    for ln in fast_lanes:
-        ln.in_fast = True
+    # passed), observation-only so recording never perturbs the physics.
     if flights is None and tele is not None:
-        from repro.telemetry.flight import FlightRecorder
-
         flights = [
-            FlightRecorder(
-                num_sms=num,
-                guardband_v=stack.min_safe_voltage,
-                cycle_offset=-warmup,
-            )
+            FlightRecorder(num_sms=num, guardband_v=stack.min_safe_voltage,
+                           cycle_offset=-warmup)
             for _ in states
         ]
     elif flights is False:
@@ -1124,34 +843,50 @@ def run_cosim_batch(
             f"got {len(flights)}"
         )
     flight_lanes: List[_BatchLaneState] = []
-    if flights is not None:
-        for ln, fr in zip(states, flights):
+    for ln, fr in zip(states, flights or ()):
+        if fr is not None:
             ln.flight = fr
-            if fr is not None:
-                ln.flight_safe = hasattr(ln.controller, "in_safe_state")
-                flight_lanes.append(ln)
+            ln.flight_safe = hasattr(ln.controller, "in_safe_state")
+            flight_lanes.append(ln)
+    cur_buf, bot_buf, flight_stage = _buffers(num_lanes, num, flight_lanes)
+    stage_rows = list(flight_stage)
+    volt_buf = stage_rows[0]
+    staged = 0  # cycles in flight_stage not yet handed to the recorders
 
-    if tele is not None:
+    # Telemetry: stage accumulators.  ``timing`` gates five perf_counter
+    # reads per cycle; with telemetry off the loop body is branch-only.
+    timing = tele is not None
+    t_gpu = t_circuit = t_controller = t_record = 0.0
+    # run_cosim's channels come from the recorded waveforms after the
+    # loop; only the applied DCC power needs a per-cycle trace.
+    dcc_trace = None
+    if timing:
         tele.add_time("setup", perf_counter() - setup_start)
+        if lane_manifest:
+            dcc_trace = np.zeros(cycles)
     loop_start = perf_counter()
     for cycle in range(total_cycles):
         recording = cycle >= warmup
         if cycle == warmup:
-            # Settle the event-driven throttle spans through warmup-1
-            # before snapshotting (serial counts those cycles one by
-            # one before its warmup-boundary read).
+            # Work counters cover the recorded window only: settle the
+            # throttle spans through warmup-1, then snapshot every lane.
             for ln in fast_lanes:
-                if ln.active_throttling:
-                    ln.controller.throttled_cycles += cycle - ln.count_from
-                ln.count_from = cycle
+                _settle_throttle_span(ln, cycle)
             for ln in states:
                 ln.instructions_at_start = ln.gpu.total_instructions()
                 ln.fakes_at_start = ln.gpu.total_fake_instructions()
                 if ln.controller is not None:
                     ln.throttled_at_start = ln.controller.throttled_cycles
+        # Event timing (shutoff, faults, chaos) counts from the end of
+        # warmup.
         recorded_cycle = cycle - warmup
 
         # 1. GPU cycle per lane (independent engines, lock-stepped).
+        # Circuit faults mutate element values before this cycle's
+        # solve; process variation scales the emitted powers before they
+        # become currents or records, keeping the PDE ledger closed.
+        if timing:
+            t0 = perf_counter()
         gpu_batch.step_into(powers_bt)
         for ln in injector_lanes:
             ln.injector.apply_circuit_faults(recorded_cycle)
@@ -1161,55 +896,72 @@ def run_cosim_batch(
             scales = ln.injector.frequency_scales(recorded_cycle)
             if scales is not None:
                 ln.gpu.set_frequency_scales(scales)
+        if timing:
+            t1 = perf_counter()
+            t_gpu += t1 - t0
 
-        # 2. Powers -> PDN currents, all lanes at once (the op sequence
-        # matches run_cosim elementwise; see its convention note).
+        # 2. Powers -> PDN currents, all lanes at once.  Per the paper's
+        # convention each SM is a time-varying *ideal* current source:
+        # I = P / V_nominal.  (Dividing by the instantaneous voltage
+        # would add the classic constant-power negative resistance and
+        # destabilize the grid.)  The netlist's small-signal load
+        # conductance already draws ~g*V per SM, so that bias is
+        # deducted from the source to keep the total SM draw equal to
+        # P / V_nominal.
         np.add(powers_bt, dcc_bt, out=cur_buf)
         cur_buf /= stack.sm_voltage
         cur_buf -= conductance_bias
         np.maximum(cur_buf, 0.0, out=batch_currents)
         if recording and dcc_possible:
-            # Bugfix parity with run_cosim: ledger the *applied* DCC.
+            # Ledger the DCC power *applied* this cycle (the last
+            # decision's command, just injected as current above), not
+            # the command the controller issues below for the next one.
             dcc_bt.sum(axis=1, out=dcc_applied)
 
         # 3. Circuit transient over one clock period, batched.  With the
         # guard on, a diverged lane is quarantined: marked dead, its row
         # compacted out of the batch, and the surviving lanes continue
-        # lock-stepped (bit-identical to their serial runs — the guard
+        # lock-stepped (bit-identical to their lone runs — the guard
         # redoes suspect cycles per-lane, and compaction only rebuilds
         # views/wrappers around untouched per-lane state).
         if chaos_cycles is not None and recorded_cycle in chaos_cycles:
             for event in monkey.take_cycle(recorded_cycle):
-                if event.action != "nan_poison":
-                    continue
                 for ln in alive:
-                    if event.lane is None or event.lane == ln.index:
+                    if (event.action == "nan_poison"
+                            and event.lane in (None, ln.index)):
                         ln.solver._react_v[:] = np.nan
-        if batch_guard is not None:
+        if batch_guard is None:
+            node_bt = batch_solver.step_n(substeps)
+        else:
             node_bt, failures = batch_guard.step_cycle(
                 substeps, cycle=recorded_cycle
             )
             if failures:
+                if staged:
+                    # Dead lanes' recorders get every cycle before the
+                    # divergence; the block restarts on the new rows.
+                    _flush_flights(flight_lanes, flight_stage, staged)
+                    staged = 0
                 for row in sorted(failures):
                     ln = alive[row]
                     ln.dead = True
                     ln.dead_at = max(0, recorded_cycle)
-                    info = failures[row].forensics()
-                    info["lane"] = ln.index
-                    info["benchmark"] = ln.name
-                    ln.divergence = info
+                    if ln in fast_lanes:
+                        # Its controller ran commands_for through the
+                        # previous cycle; close the open span there.
+                        _settle_throttle_span(ln, cycle)
+                    ln.divergence = {
+                        **failures[row].forensics(),
+                        "lane": ln.index, "benchmark": ln.name,
+                    }
                     if tele is not None:
-                        tele.event("lane_quarantined", **info)
-                survivors = [ln for ln in alive if not ln.dead]
-                event_lanes = [ln for ln in event_lanes if not ln.dead]
-                injector_lanes = [
-                    ln for ln in injector_lanes if not ln.dead
-                ]
-                fast_lanes = [ln for ln in fast_lanes if not ln.dead]
-                slow_ctrl_lanes = [
-                    ln for ln in slow_ctrl_lanes if not ln.dead
-                ]
-                flight_lanes = [ln for ln in flight_lanes if not ln.dead]
+                        tele.event("lane_quarantined", **ln.divergence)
+                (survivors, event_lanes, injector_lanes, fast_lanes,
+                 slow_ctrl_lanes, flight_lanes) = (
+                    [ln for ln in group if not ln.dead]
+                    for group in (alive, event_lanes, injector_lanes,
+                                  fast_lanes, slow_ctrl_lanes, flight_lanes)
+                )
                 if not survivors:
                     alive = []
                     break
@@ -1221,9 +973,11 @@ def run_cosim_batch(
                 # untouched, so survivor physics continues bit-exactly.
                 old_rows = [ln.row for ln in survivors]
                 batch_currents = batch_currents[old_rows].copy()
-                cur_buf = np.empty((len(survivors), num))
-                bot_buf = np.empty((len(survivors), num))
-                volt_buf = np.empty((len(survivors), num))
+                cur_buf, bot_buf, flight_stage = _buffers(
+                    len(survivors), num, flight_lanes
+                )
+                stage_rows = list(flight_stage)
+                volt_buf = stage_rows[0]
                 for new_row, ln in enumerate(survivors):
                     ln.row = new_row
                     ln.pdn.bind_current_buffer(batch_currents[new_row])
@@ -1243,10 +997,9 @@ def run_cosim_batch(
                     ]
                     if not keep:
                         bank = None
-                        bank_members = []
                     elif len(keep) != len(bank_members):
                         bank = bank.compact(keep)
-                        bank_members = [bank_members[j] for j in keep]
+                    bank_members = [bank_members[j] for j in keep]
                     bank_rows_arr = np.array(
                         [bln.row for bln in bank_members], dtype=np.intp
                     )
@@ -1258,9 +1011,7 @@ def run_cosim_batch(
                 alive_idx = np.array(
                     [ln.index for ln in survivors], dtype=np.intp
                 )
-                node_bt = batch_solver._sol_bt[:, : batch_solver.num_nodes]
-        else:
-            node_bt = batch_solver.step_n(substeps)
+                node_bt = batch_solver._node_bt
         # Bound-method take skips np.take's dispatch wrapper — this
         # runs twice per recorded cycle on the hot path.
         node_bt.take(bot_idx, axis=1, out=bot_buf)
@@ -1269,8 +1020,12 @@ def run_cosim_batch(
         node_bt.take(top_idx, axis=1, out=volt_buf)
         volt_buf -= bot_buf
         voltages_bt = volt_buf
+        if timing:
+            t2 = perf_counter()
+            t_circuit += t2 - t1
 
-        # Halted SMs per lane (shutoff events + fault-scheduled halts).
+        # Halted SMs per lane (shutoff events + fault-scheduled halts)
+        # must not block the kernel-launch barrier.
         for ln in event_lanes:
             halted: set = set()
             shutoff = ln.config.shutoff
@@ -1280,18 +1035,29 @@ def run_cosim_batch(
                 halted.update(ln.injector.halted_sms(recorded_cycle))
             ln.gpu.barrier_exempt = halted
             ln.halted_idx = sorted(halted)
+            halted_sig = tuple(ln.halted_idx)
+            if ln.controller is None and (
+                ln.applied_decision is None or halted_sig != ln.applied_halted
+            ):
+                # No controller: full issue width except halted SMs.
+                widths = np.full(num, 2.0)
+                widths[ln.halted_idx] = 0.0
+                ln.gpu.set_issue_widths(widths)
+                ln.applied_decision = widths
+                ln.applied_halted = halted_sig
 
-        # 4. Detection + control.  Bank lanes advance their RC filters
-        # and decision waves batched; the rest replicate the serial
-        # paths verbatim.  Actuation application is gated on decision
-        # identity (setters are idempotent; decisions are immutable
-        # once enqueued), except under actuation-distorting faults
-        # which may perturb every cycle.
+        # 4. Detection + control (commands apply after the loop
+        # latency).  Bank lanes advance their RC filters and decision
+        # waves batched; the rest call observe/commands_for per lane.
+        # Actuation application is gated on decision identity (setters
+        # are idempotent; decisions are immutable once enqueued),
+        # except under actuation-distorting faults which may perturb
+        # every cycle.  Decision arrays belong to the controller: any
+        # value the loop mutates (halted widths) or retains (DCC) is a
+        # copy.
         if bank is not None:
-            if all_banked:
-                bank.observe(cycle, voltages_bt)
-            else:
-                bank.observe(cycle, voltages_bt[bank_rows_arr])
+            bank.observe(cycle, voltages_bt if all_banked
+                         else voltages_bt[bank_rows_arr])
         for ln in fast_lanes:
             controller = ln.controller
             pipeline = controller._pipeline
@@ -1303,33 +1069,18 @@ def run_cosim_batch(
                     # applied: same values, same throttle flag — the
                     # open span simply continues.
                     continue
-                throttling = bool(
-                    np.any(
-                        decision.issue_widths
-                        < controller._default_issue_width
-                    )
-                )
+                throttling = _throttles(controller, decision)
                 controller.active_decision = decision
                 controller._active_throttling = throttling
                 if ln.active_throttling:
                     controller.throttled_cycles += cycle - ln.count_from
                 ln.count_from = cycle
                 ln.active_throttling = throttling
-                if decision is not ln.applied_decision:
-                    # Never halted, so the decision arrays pass through
-                    # unmutated (the engine setters copy internally).
-                    ln.gpu.set_issue_widths(decision.issue_widths)
-                    ln.gpu.set_fake_rates(decision.fake_rates)
-                    np.copyto(dcc_bt[ln.row], decision.dcc_powers_w)
-                    ln.applied_decision = decision
+                ln.actuate(decision, dcc_bt[ln.row])
             elif ln.applied_decision is None:
                 # First cycles before any pop: the initial active
-                # decision (what serial commands_for returns) applies.
-                decision = controller.active_decision
-                ln.gpu.set_issue_widths(decision.issue_widths)
-                ln.gpu.set_fake_rates(decision.fake_rates)
-                np.copyto(dcc_bt[ln.row], decision.dcc_powers_w)
-                ln.applied_decision = decision
+                # decision (what commands_for would return) applies.
+                ln.actuate(controller.active_decision, dcc_bt[ln.row])
         for ln in slow_ctrl_lanes:
             controller = ln.controller
             if ln.in_bank:
@@ -1338,6 +1089,9 @@ def run_cosim_batch(
                 controller.observe(cycle, voltages_bt[ln.row])
                 decision = controller.commands_for(cycle)
             else:
+                # Architecture faults: the detectors see a corrupted
+                # copy of the voltages (or nothing this cycle), and
+                # jitter delays which enqueued decision is read.
                 seen = ln.injector.corrupt_sensors(
                     recorded_cycle, voltages_bt[ln.row]
                 )
@@ -1347,81 +1101,86 @@ def run_cosim_batch(
                     cycle - ln.injector.extra_latency(recorded_cycle)
                 )
             ln.last_decision = decision
-            if ln.injector is not None and ln.injector.touches_actuation:
+            distort = ln.injector is not None and ln.injector.touches_actuation
+            halted_sig = tuple(ln.halted_idx)
+            if (
+                distort
+                or decision is not ln.applied_decision
+                or halted_sig != ln.applied_halted
+            ):
                 widths = decision.issue_widths.copy()
-                fakes = decision.fake_rates.copy()
-                dcc = decision.dcc_powers_w.copy()
-                ln.injector.distort_actuation(
-                    recorded_cycle, widths, fakes, dcc
-                )
+                fakes = decision.fake_rates
+                dcc = decision.dcc_powers_w
+                if distort:
+                    fakes = fakes.copy()
+                    dcc = dcc.copy()
+                    ln.injector.distort_actuation(
+                        recorded_cycle, widths, fakes, dcc
+                    )
                 if ln.halted_idx:
                     widths[ln.halted_idx] = 0.0
                 ln.gpu.set_issue_widths(widths)
                 ln.gpu.set_fake_rates(fakes)
                 np.copyto(dcc_bt[ln.row], dcc)
-            else:
-                halted_sig = tuple(ln.halted_idx)
-                if (
-                    decision is not ln.applied_decision
-                    or halted_sig != ln.applied_halted
-                ):
-                    widths = decision.issue_widths.copy()
-                    if ln.halted_idx:
-                        widths[ln.halted_idx] = 0.0
-                    ln.gpu.set_issue_widths(widths)
-                    ln.gpu.set_fake_rates(decision.fake_rates)
-                    np.copyto(dcc_bt[ln.row], decision.dcc_powers_w)
-                    ln.applied_decision = decision
-                    ln.applied_halted = halted_sig
-        for ln in event_lanes:
-            if ln.controller is None:
-                halted_sig = tuple(ln.halted_idx)
-                if ln.applied_decision is None or halted_sig != ln.applied_halted:
-                    widths = np.full(num, 2.0)
-                    if ln.halted_idx:
-                        widths[ln.halted_idx] = 0.0
-                    ln.gpu.set_issue_widths(widths)
-                    ln.applied_decision = widths
-                    ln.applied_halted = halted_sig
+                ln.applied_decision = decision
+                ln.applied_halted = halted_sig
+        if timing:
+            t3 = perf_counter()
+            t_controller += t3 - t2
 
-        for ln in flight_lanes:
-            ctrl = ln.controller
-            ln.flight.observe(
-                voltages_bt[ln.row],
-                ctrl.active_decision if ln.in_fast else ln.last_decision,
-                ln.injector.active_kinds(recorded_cycle)
-                if ln.injector is not None
-                else None,
-                ctrl.in_safe_state if ln.flight_safe else False,
-            )
+        if flight_lanes:
+            for ln in flight_lanes:
+                ln.flight_meta.append((
+                    ln.last_decision,
+                    ln.injector.active_kinds(recorded_cycle)
+                    if ln.injector is not None
+                    else None,
+                    ln.controller.in_safe_state if ln.flight_safe else False,
+                ))
+            staged += 1
+            if staged == len(stage_rows):
+                _flush_flights(flight_lanes, flight_stage, staged)
+                staged = 0
+            volt_buf = stage_rows[staged]
 
         if recording:
+            # After an eviction, dead lanes keep what they recorded
+            # before their divergence cycle (results are truncated to
+            # ``dead_at``); survivors scatter through alive_idx.
             k = recorded_cycle
-            if alive_idx is None:
-                powers_rec_bt[:, k, :] = powers_bt
-                sm_voltages_bt[:, k, :] = voltages_bt
+            powers_rec_bt[alive_idx, k, :] = powers_bt
+            sm_voltages_bt[alive_idx, k, :] = voltages_bt
+            if isinstance(alive_idx, slice):
                 batch_solver.vsource_currents("vdd", out=supply_bt[:, k])
-                if dcc_possible:
-                    dcc_accum += dcc_applied
             else:
-                # Post-eviction: dead lanes keep whatever they recorded
-                # before their divergence cycle (results are truncated
-                # to ``dead_at``); survivors scatter through alive_idx.
-                powers_rec_bt[alive_idx, k, :] = powers_bt
-                sm_voltages_bt[alive_idx, k, :] = voltages_bt
                 supply_bt[alive_idx, k] = batch_solver.vsource_currents(
                     "vdd"
                 )
-                if dcc_possible:
-                    dcc_accum[alive_idx] += dcc_applied
+            if dcc_possible:
+                dcc_accum[alive_idx] += dcc_applied
+            if dcc_trace is not None:
+                dcc_trace[k] = dcc_applied[0]
+        if timing:
+            t_record += perf_counter() - t3
+    if staged:
+        _flush_flights(flight_lanes, flight_stage, staged)
     # Settle the remaining event-driven throttle spans so lane
-    # controllers end bit-equal to serial post-run state.
+    # controllers end bit-equal to a per-cycle commands_for run.
     for ln in fast_lanes:
-        if ln.active_throttling:
-            ln.controller.throttled_cycles += total_cycles - ln.count_from
-        ln.controller._counted_through_cycle = total_cycles - 1
-    if tele is not None:
-        tele.add_time("batch_loop", perf_counter() - loop_start)
+        _settle_throttle_span(ln, total_cycles)
+    if timing:
+        # Attribute the loop's residual (iteration overhead, warmup
+        # bookkeeping, the timing reads themselves) to its own stage so
+        # the stage sum reconciles with wall-clock time.
+        loop_wall = perf_counter() - loop_start
+        tele.add_time("gpu_model", t_gpu)
+        tele.add_time("transient_solve", t_circuit)
+        tele.add_time("controller", t_controller)
+        tele.add_time("record", t_record)
+        tele.add_time(
+            "loop_other",
+            max(0.0, loop_wall - t_gpu - t_circuit - t_controller - t_record),
+        )
 
     finalize_start = perf_counter()
     results: List[CosimResult] = []
@@ -1456,9 +1215,7 @@ def run_cosim_batch(
             ),
             controller_power_w=ln.controller_power,
             kernels_completed=len(durations),
-            mean_dcc_power_w=float(dcc_accum[ln.index]) / (
-                cycles if not ln.dead else max(1, ln.dead_at)
-            ),
+            mean_dcc_power_w=float(dcc_accum[ln.index]) / max(1, valid),
         )
         result.kernel_durations = durations
         if ln.divergence is not None:
@@ -1471,53 +1228,44 @@ def run_cosim_batch(
             )
         if ln.flight is not None:
             if ln.dead:
-                worst = (ln.divergence or {}).get("worst_value")
                 ln.flight.force_dump(
                     "numerical_divergence",
-                    min_voltage_v=(
-                        float("nan") if worst is None else float(worst)
-                    ),
+                    min_voltage_v=ln.divergence.get("worst_value", np.nan),
                 )
             ln.flight.finalize()
             result.flight = ln.flight
         results.append(result)
     if tele is not None:
-        tele.add_time("finalize", perf_counter() - finalize_start)
-        if first_cfg.solver_guard:
-            # Aggregate over every lane's guard directly — a rebuilt
-            # batch guard only wraps the survivors, but quarantined
-            # lanes' recovery/divergence counts must still be reported.
-            totals: Dict[str, int] = {}
-            for ln in states:
-                for key, value in ln.guard.counters().items():
-                    totals[key] = totals.get(key, 0) + value
-            for key, value in totals.items():
-                if value:
-                    tele.incr(f"guard_{key}", value)
         quarantined = sum(1 for ln in states if ln.dead)
         if quarantined:
             tele.incr("lanes_quarantined", quarantined)
-        # Batched-solver backend accounting: the NumPy fallback is
-        # bit-identical but slow, so surface both the live backend and
-        # any build-failure fallbacks that forced it.
-        from repro.circuits._solverc import build_fallback_count as _solver_fb
-
-        solver_fallbacks = _solver_fb()
-        if solver_fallbacks:
-            tele.incr("solver.backend_fallback", solver_fallbacks)
-        for ln, result in zip(states, results):
-            tele.event(
-                "cosim_batch_lane_done", lane=ln.index,
-                benchmark=result.benchmark,
-                min_voltage_v=result.min_voltage,
-                throughput_ipc=result.throughput(),
-                diverged=bool(ln.dead),
+        if lane_manifest:
+            (ln,) = states
+            if ln.flight is not None:
+                tele.set_section("flight", ln.flight.summary())
+            _record_channels(tele, results[0], dcc_trace)
+            _record_cosim_telemetry(
+                tele, ln.config, results[0], ln.solver, ln.controller,
+                guard=ln.guard,
             )
-        tele.event(
-            "cosim_batch_done", lanes=num_lanes,
-            solver_backend=batch_solver.active_backend,
-            solver_shards=batch_solver.shard_count,
-        )
+        else:
+            _record_guard_and_backends(
+                tele, [ln.guard for ln in states if ln.guard is not None]
+            )
+            for ln, result in zip(states, results):
+                tele.event(
+                    "cosim_batch_lane_done", lane=ln.index,
+                    benchmark=result.benchmark,
+                    min_voltage_v=result.min_voltage,
+                    throughput_ipc=result.throughput(),
+                    diverged=ln.dead,
+                )
+            tele.event(
+                "cosim_batch_done", lanes=num_lanes,
+                solver_backend=batch_solver.active_backend,
+                solver_shards=batch_solver.shard_count,
+            )
+        tele.add_time("finalize", perf_counter() - finalize_start)
     _LAST_BATCH_SOLVER.update(
         backend=batch_solver.active_backend,
         shards=batch_solver.shard_count,

@@ -15,9 +15,11 @@ window around every interesting edge:
   ``safe_state`` verdict).
 
 Cost discipline (the live plane must stay honest about "always-on"):
-the per-cycle :meth:`FlightRecorder.observe` is one ring-row copy plus
-a tuple store; all detection is deferred to a vectorized scan every
-``scan_interval`` cycles.  ``benchmarks/test_perf_observability.py``
+:meth:`FlightRecorder.observe_block` records a block of cycles with one
+ring copy (the co-sim loop stages :data:`BLOCK_CYCLES` cycles per call;
+:meth:`FlightRecorder.observe` is the one-cycle form); all detection is
+deferred to a vectorized scan once per ``scan_interval`` cycles, and a
+quiet block costs one reduction.  ``benchmarks/test_perf_observability.py``
 gates the whole thing at <= 2% of the hot co-sim loop.
 
 Windows that attract further triggers while still open are *coalesced*
@@ -43,6 +45,10 @@ ONSET = "guardband_onset"
 SAFE_ENTER = "safe_state_enter"
 SAFE_EXIT = "safe_state_exit"
 NUMERICAL_DIVERGENCE = "numerical_divergence"
+
+#: Rows one :meth:`FlightRecorder.observe_block` ring pass takes (and
+#: scans) at once; the batched co-sim stages this many cycles per call.
+BLOCK_CYCLES = 128
 
 
 class FlightDump:
@@ -161,13 +167,13 @@ class FlightRecorder:
         )
         self.cycle_offset = int(cycle_offset)
         # Ring capacity: a trigger inside the current scan block needs
-        # pre_cycles of history behind it, plus the unscanned block.
-        self._W = self.pre_cycles + 2 * self.scan_interval
+        # pre_cycles of history behind it, plus the unscanned rows (under
+        # one scan interval, plus one observe_block pass).
+        self._W = self.pre_cycles + 2 * self.scan_interval + BLOCK_CYCLES
         self._volts = np.empty((self._W, self.num_sms))
         self._meta: List[Optional[Tuple[object, object, bool]]] = (
             [None] * self._W
         )
-        self._safe = np.zeros(self._W, dtype=bool)
         self._n = 0  # observed cycles
         self._scanned = 0  # cycles processed by the scanner
         self._prev_below = False
@@ -181,14 +187,39 @@ class FlightRecorder:
     # -- hot path ------------------------------------------------------
     def observe(self, voltages, decision=None, fault_kinds=None,
                 safe: bool = False) -> None:
-        """Record one cycle of state.  O(num_sms) copy, no detection."""
-        slot = self._n % self._W
-        self._volts[slot] = voltages
-        self._meta[slot] = (decision, fault_kinds, safe)
-        self._safe[slot] = safe
-        self._n += 1
-        if self._n - self._scanned >= self.scan_interval:
-            self._scan()
+        """Record one cycle of state (:meth:`observe_block` of one row)."""
+        self.observe_block(
+            np.asarray(voltages)[None], [(decision, fault_kinds, safe)]
+        )
+
+    def observe_block(
+        self, voltages: np.ndarray, meta: Sequence[tuple]
+    ) -> None:
+        """Record ``len(meta)`` cycles: O(rows) copies, no detection.
+
+        ``voltages`` holds one ``(num_sms,)`` row per cycle and ``meta``
+        one ``(decision, fault_kinds, safe)`` tuple.  Each ring pass
+        takes up to :data:`BLOCK_CYCLES` rows and scans once a scan
+        interval has filled; dumps do not depend on where scans fall,
+        so any split of the same cycles into blocks yields the same
+        dumps.
+        """
+        done, total = 0, len(meta)
+        while done < total:
+            take = min(total - done, BLOCK_CYCLES)
+            n = self._n
+            lo = n % self._W
+            first = min(take, self._W - lo)
+            self._volts[lo : lo + first] = voltages[done : done + first]
+            self._meta[lo : lo + first] = meta[done : done + first]
+            if first < take:  # wrap
+                rest = slice(done + first, done + take)
+                self._volts[: take - first] = voltages[rest]
+                self._meta[: take - first] = meta[rest]
+            self._n = n + take
+            done += take
+            if self._n - self._scanned >= self.scan_interval:
+                self._scan()
 
     # -- deferred detection --------------------------------------------
     def _rows(self, start: int, end: int) -> np.ndarray:
@@ -199,21 +230,32 @@ class FlightRecorder:
             return self._volts[lo:hi]
         return np.concatenate([self._volts[lo:], self._volts[: hi - self._W]])
 
-    def _safe_flags(self, start: int, end: int) -> np.ndarray:
+    def _meta_rows(self, start: int, end: int) -> list:
+        """Ring meta tuples for observed cycles [start, end)."""
         lo = start % self._W
         hi = lo + (end - start)
         if hi <= self._W:
-            return self._safe[lo:hi]
-        return np.concatenate([self._safe[lo:], self._safe[: hi - self._W]])
+            return self._meta[lo:hi]
+        return self._meta[lo:] + self._meta[: hi - self._W]
 
     def _scan(self) -> None:
         start, end = self._scanned, self._n
         if end <= start:
             return
         rows = self._rows(start, end)
+        safe_flags = [m[2] for m in self._meta_rows(start, end)]
+        # A quiet block (nothing below the guardband, no safe state, and
+        # neither at the previous block's end) has no edges.
+        if not (
+            self._prev_below or self._prev_safe or any(safe_flags)
+            or rows.min() < self.guardband_v
+        ):
+            self._scanned = end
+            self._extend_pending(end)
+            return
         mins = rows.min(axis=1)
         below = mins < self.guardband_v
-        safe = self._safe_flags(start, end)
+        safe = np.array(safe_flags, dtype=bool)
 
         # Edges vs the previous scanned cycle (block-boundary carry).
         prev_below = np.empty_like(below)
@@ -275,9 +317,7 @@ class FlightRecorder:
         )
         take_to = min(self._scanned, close_at)
         dump.voltages.append(self._rows(start, take_to).copy())
-        dump.meta.extend(
-            self._meta[c % self._W] for c in range(start, take_to)
-        )
+        dump.meta.extend(self._meta_rows(start, take_to))
         dump.end_cycle = take_to
         self._pending.append(dump)
 
@@ -294,10 +334,7 @@ class FlightRecorder:
                 dump.voltages.append(
                     self._rows(dump.end_cycle, take_to).copy()
                 )
-                dump.meta.extend(
-                    self._meta[c % self._W]
-                    for c in range(dump.end_cycle, take_to)
-                )
+                dump.meta.extend(self._meta_rows(dump.end_cycle, take_to))
                 dump.end_cycle = take_to
             if now >= close_at:
                 self.dumps.append(dump)

@@ -182,6 +182,59 @@ class TestMidRunRefactor:
         assert batch.shard_count == 2
 
 
+class TestCheckedCycle:
+    """The guard's fused clean path: snapshot + step + health proof."""
+
+    @staticmethod
+    def _drive(backend, schedules, cycles, poison_at=None):
+        n_lanes = len(schedules)
+        currents_bt = np.zeros((n_lanes, NUM_SMS))
+        lanes = [_make_lane(currents_bt[i]) for i in range(n_lanes)]
+        batch = BatchTransientSolver(
+            [s for _, s in lanes], shared_current_base=currents_bt
+        )
+        BatchSolverGuard(batch)  # arms step_n's snapshot + health proof
+        trace = []
+        with forced_backend(backend):
+            for k in range(cycles):
+                if k == poison_at:
+                    lanes[1][1]._react_v[:] = np.nan
+                for i in range(n_lanes):
+                    lanes[i][0].set_sm_currents(schedules[i][k])
+                start = batch._react_vi_bt.copy()
+                batch.step_n(SUBSTEPS)
+                suspects = batch._suspects
+                assert batch._snap_vi_bt.tobytes() == start.tobytes()
+                trace.append((
+                    suspects, batch._sq_bt.tobytes(), batch._sol_bt.tobytes()
+                ))
+        return trace, batch
+
+    @needs_c
+    def test_backends_agree_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        schedules = [_schedule(rng, 8) for _ in range(3)]
+        c_trace, _ = self._drive("c", schedules, 8)
+        np_trace, batch = self._drive("numpy", schedules, 8)
+        assert c_trace == np_trace
+        assert all(suspects == 0 for suspects, _, _ in c_trace)
+        # Index-order accumulation, as a plain Python loop computes it.
+        row = batch._sol_bt[0]
+        total = 0.0
+        for x in row:
+            total = total + float(x) * float(x)
+        assert batch._sq_bt[0] == total
+
+    @needs_c
+    def test_nan_lane_counts_as_suspect(self):
+        rng = np.random.default_rng(29)
+        schedules = [_schedule(rng, 4) for _ in range(3)]
+        c_trace, _ = self._drive("c", schedules, 4, poison_at=2)
+        np_trace, _ = self._drive("numpy", schedules, 4, poison_at=2)
+        assert [t[0] for t in c_trace] == [0, 0, 1, 1]
+        assert [t[0] for t in np_trace] == [0, 0, 1, 1]
+
+
 class TestGuardRecoveryAndQuarantine:
     @needs_c
     @pytest.mark.parametrize("backend", ["c", "numpy"])
@@ -365,9 +418,9 @@ class TestCosimCrossBackend:
         from repro.sim.cosim import (
             CosimConfig,
             CosimLane,
-            run_cosim,
             run_cosim_batch,
         )
+        from tests.oracles.serial_cosim import run_serial_cosim
 
         benchmarks = ("hotspot", "bfs", "srad")
         lanes = []
@@ -381,7 +434,9 @@ class TestCosimCrossBackend:
                     config=CosimConfig(**kwargs),
                 )
             )
-        serial = [run_cosim(ln.benchmark, config=ln.config) for ln in lanes]
+        serial = [
+            run_serial_cosim(ln.benchmark, config=ln.config) for ln in lanes
+        ]
         for backend in ("c", "numpy"):
             with forced_backend(backend):
                 batch = run_cosim_batch(list(lanes))

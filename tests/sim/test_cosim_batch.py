@@ -2,14 +2,15 @@
 accounting regressions that rode along with it.
 
 ``run_cosim_batch`` steps B independent scenarios lock-stepped; the
-serial ``run_cosim`` is its bit-identity oracle — a B-lane batch must
-reproduce B independent serial runs *byte for byte*, for every field of
-every :class:`CosimResult`, under mixed benchmarks, seeds, controller
-gains, disabled controllers, per-object GPU lanes and canned fault
-scenarios.  These tests drive both paths side by side (randomized via
-hypothesis and through canned scenarios) and pin the three accounting
-bugfixes: decision-array ownership at the control boundary, completed
-kernel-interval counting, and applied-vs-commanded DCC ledgering.
+serial loop in ``tests/oracles/serial_cosim.py`` is its bit-identity
+oracle — a B-lane batch must reproduce B independent serial runs *byte
+for byte*, for every field of every :class:`CosimResult`, under mixed
+benchmarks, seeds, controller gains, disabled controllers, per-object
+GPU lanes and canned fault scenarios.  These tests drive both paths
+side by side (randomized via hypothesis and through canned scenarios)
+and pin the three accounting bugfixes: decision-array ownership at the
+control boundary, completed kernel-interval counting, and
+applied-vs-commanded DCC ledgering.
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.sim.cosim import (
     run_cosim,
     run_cosim_batch,
 )
+from tests.oracles.serial_cosim import run_serial_cosim
 
 CYCLES = 260
 WARMUP = 40
@@ -59,7 +61,7 @@ def _check_batch(lanes):
     batch = run_cosim_batch(lanes)
     assert len(batch) == len(lanes)
     for i, (lane, result) in enumerate(zip(lanes, batch)):
-        serial = run_cosim(lane.benchmark, config=lane.config)
+        serial = run_serial_cosim(lane.benchmark, config=lane.config)
         _assert_result_equal(result, serial, label=f"lane {i} ({lane.benchmark})")
 
 
@@ -152,8 +154,31 @@ class TestCannedFaultBatch:
         ])
 
 
+class TestBatchStageSplit:
+    """A batch records run_cosim's stage names, residual-closed."""
+
+    def test_b4_stage_split_sums_to_wall(self):
+        from repro.telemetry import Telemetry
+
+        tele = Telemetry(run_id="batch-stages")
+        lanes = [
+            CosimLane(name, CosimConfig(
+                cycles=CYCLES, warmup_cycles=WARMUP, seed=i))
+            for i, name in enumerate(("hotspot", "backprop", "bfs", "srad"))
+        ]
+        run_cosim_batch(lanes, telemetry=tele)
+        for stage in ("setup", "gpu_model", "transient_solve",
+                      "controller", "record", "loop_other", "finalize"):
+            assert stage in tele.timings, stage
+        assert "batch_loop" not in tele.timings
+        wall = tele.elapsed_s
+        stage_sum = sum(tele.timings.values())
+        assert wall > 0
+        assert abs(stage_sum - wall) / wall <= 0.10
+
+
 # ---------------------------------------------------------------------------
-# Accounting regressions (serial path)
+# Accounting regressions (run_cosim)
 # ---------------------------------------------------------------------------
 class _ScriptedController:
     """Minimal controller duck-type: fixed widths, scripted DCC."""

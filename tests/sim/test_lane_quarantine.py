@@ -1,13 +1,13 @@
 """Batch lane quarantine: diverged lanes are evicted mid-run, survivors
 keep their bit-identity contract.
 
-``run_cosim_batch``'s equivalence oracle (tests/sim/test_cosim_batch)
-covers healthy runs; these tests drive the *unhealthy* path with
+``run_cosim_batch``'s equivalence tests (tests/sim/test_cosim_batch)
+cover healthy runs; these tests drive the *unhealthy* path with
 deterministic NaN poisoning via the chaos harness and assert the
 quarantine semantics: an evicted lane yields a structured ``diverged``
 verdict with its clean waveform prefix, every surviving lane finishes
-byte-identical to its serial run, and a fully-dead batch degrades to
-truncated results instead of a crash.
+byte-identical to its serial-oracle run, and a fully-dead batch
+degrades to truncated results instead of a crash.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ import pytest
 from repro.faults.chaos import ChaosEvent, ChaosPlan
 from repro.sim.cosim import CosimConfig, CosimLane, run_cosim, run_cosim_batch
 from repro.telemetry import Telemetry
+from tests.oracles.serial_cosim import run_serial_cosim
 
 CYCLES = 120
 WARMUP = 30
@@ -42,12 +43,28 @@ def poison(at, lane=None):
     return ChaosEvent("cosim_cycle", "nan_poison", at=at, lane=lane, once=False)
 
 
+def _per_cycle(dump):
+    """A flight dump with its actuation table expanded per cycle.
+
+    The controller bank re-enqueues an idle wave's decision object where
+    the per-object controller builds an equal new one, so actuation
+    tables (deduplicated by identity) may group cycles differently;
+    the per-cycle actuation values must agree.
+    """
+    d = dump.to_dict()
+    table = d.pop("actuations")
+    d["actuation"] = [
+        None if i is None else table[i] for i in d.pop("actuation_id")
+    ]
+    return d
+
+
 class TestEviction:
     def test_poisoned_lane_is_quarantined_survivors_bit_identical(
         self, chaos_plan
     ):
         lanes = three_lanes()
-        serial = [run_cosim(ln.benchmark, ln.config) for ln in lanes]
+        serial = [run_serial_cosim(ln.benchmark, ln.config) for ln in lanes]
         chaos_plan(ChaosPlan("quarantine", [poison(at=25, lane=1)]))
         batch = run_cosim_batch(lanes)
 
@@ -69,7 +86,7 @@ class TestEviction:
 
     def test_dead_lane_keeps_its_clean_prefix(self, chaos_plan):
         lanes = three_lanes()
-        serial_mid = run_cosim(lanes[1].benchmark, lanes[1].config)
+        serial_mid = run_serial_cosim(lanes[1].benchmark, lanes[1].config)
         chaos_plan(ChaosPlan("prefix", [poison(at=25, lane=1)]))
         batch = run_cosim_batch(lanes)
         dead = batch[1]
@@ -93,7 +110,7 @@ class TestEviction:
 
     def test_staggered_evictions_leave_a_lone_survivor(self, chaos_plan):
         lanes = three_lanes()
-        serial_mid = run_cosim(lanes[1].benchmark, lanes[1].config)
+        serial_mid = run_serial_cosim(lanes[1].benchmark, lanes[1].config)
         chaos_plan(ChaosPlan("staggered", [
             poison(at=20, lane=0),
             poison(at=40, lane=2),
@@ -125,6 +142,72 @@ class TestEviction:
         assert batch[0].diverged
         assert batch[0].num_cycles == 0
         assert np.isnan(batch[0].min_voltage)
+
+
+class TestDeadLaneAccounting:
+    def test_dead_lane_throttle_count_matches_serial_prefix(self, chaos_plan):
+        """A lane evicted at recorded cycle c ran its controller through
+        the cycle before, exactly like a serial run c cycles long: its
+        throttle count must include the span still open at eviction."""
+        from dataclasses import replace
+
+        from repro.core.controller import ControllerConfig
+
+        config = CosimConfig(
+            cycles=200, warmup_cycles=30, seed=3, cr_ivr_area_mm2=52.9,
+            controller=ControllerConfig(v_threshold=0.99),
+        )
+        lanes = [
+            CosimLane("hotspot", config),
+            CosimLane("bfs", replace(config, seed=5)),
+        ]
+        chaos_plan(ChaosPlan("throttle", [poison(at=187, lane=0)]))
+        dead = run_cosim_batch(lanes)[0]
+        prefix = run_serial_cosim("hotspot", replace(config, cycles=187))
+        assert dead.diverged and dead.num_cycles == 187
+        assert np.array_equal(dead.sm_voltages, prefix.sm_voltages)
+        assert prefix.throttled_cycles > 0
+        assert dead.throttled_cycles == prefix.throttled_cycles
+
+    def test_flight_recorders_ride_through_eviction(self, chaos_plan):
+        """Staged flight samples flush before compaction: the dead lane
+        keeps every cycle before its divergence, survivors match the
+        serial oracle's recorders exactly."""
+        from repro.telemetry.flight import FlightRecorder
+
+        def recorder():
+            return FlightRecorder(num_sms=16, guardband_v=0.95,
+                                  cycle_offset=-WARMUP)
+
+        lanes = three_lanes()
+        serial = [
+            run_serial_cosim(ln.benchmark, ln.config, flight=recorder())
+            for ln in lanes
+        ]
+        chaos_plan(ChaosPlan("flight", [poison(at=25, lane=1)]))
+        batch = run_cosim_batch(
+            lanes, flights=[recorder() for _ in lanes]
+        )
+        assert batch[1].flight.cycles_observed == WARMUP + 25
+        for row in (0, 2):
+            b, s = batch[row].flight, serial[row].flight
+            assert b.summary() == s.summary()
+            assert [_per_cycle(d) for d in b.dumps] == [
+                _per_cycle(d) for d in s.dumps
+            ]
+
+    def test_run_cosim_honours_lane_zero_poison(self, chaos_plan):
+        """run_cosim is a batch of one: lane 0 is its only lane."""
+        chaos_plan(ChaosPlan("lane0", [poison(at=25, lane=0)]))
+        result = run_cosim("hotspot", cfg(3))
+        assert result.diverged and result.num_cycles == 25
+        assert result.divergence["lane"] == 0
+
+    def test_run_cosim_ignores_other_lanes_poison(self, chaos_plan):
+        chaos_plan(ChaosPlan("lane1", [poison(at=25, lane=1)]))
+        result = run_cosim("hotspot", cfg(3))
+        assert not result.diverged
+        assert result.num_cycles == CYCLES
 
 
 class TestTelemetry:

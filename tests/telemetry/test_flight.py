@@ -7,11 +7,13 @@ dump's window, for the serial and the batched co-sim engines alike.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.controller import ControllerConfig
+from repro.core.controller import ControlDecision, ControllerConfig
 from repro.faults import get_scenario, list_scenarios
 from repro.sim.cosim import CosimConfig, CosimLane, run_cosim, run_cosim_batch
 from repro.telemetry.flight import (
+    NUMERICAL_DIVERGENCE,
     ONSET,
     SAFE_ENTER,
     SAFE_EXIT,
@@ -19,6 +21,7 @@ from repro.telemetry.flight import (
     read_flight_dir,
     render_flight,
 )
+from tests.oracles.serial_cosim import run_serial_cosim
 
 GUARD = 0.8
 
@@ -200,6 +203,55 @@ class TestCoalescingAndBounds:
         assert dump["end_cycle"] == 60  # run ended before post filled
 
 
+class TestObserveBlock:
+    """observe_block == per-cycle observe, whatever the block split."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        scan=st.sampled_from([4, 8, 32]),
+        cuts=st.lists(st.integers(1, 300), min_size=1, max_size=8),
+    )
+    def test_dumps_match_per_cycle_observe(self, seed, scan, cuts):
+        rng = np.random.default_rng(seed)
+        n = 400
+        mins = np.where(rng.random(n) < 0.03, 0.7, 0.9)
+        volts = np.stack([mins, mins + 0.05], axis=1)
+        decisions = [
+            ControlDecision(issue_widths=np.full(2, w),
+                            fake_rates=np.zeros(2),
+                            dcc_powers_w=np.zeros(2))
+            for w in (2.0, 1.5, 1.0, 0.5)
+        ]
+        meta = [
+            (decisions[int(rng.integers(4))], None, bool(rng.random() < 0.05))
+            for _ in range(n)
+        ]
+
+        def recorder():
+            return FlightRecorder(2, GUARD, pre_cycles=6, post_cycles=10,
+                                  scan_interval=scan, max_dumps=8,
+                                  cycle_offset=-20)
+
+        per_cycle = recorder()
+        for row, (dec, kinds, safe) in zip(volts, meta):
+            per_cycle.observe(row, dec, kinds, safe)
+        per_cycle.force_dump(NUMERICAL_DIVERGENCE)
+        per_cycle.finalize()
+
+        blocked = recorder()
+        edges = sorted({0, n, *(c for c in cuts if c < n)})
+        for lo, hi in zip(edges, edges[1:]):
+            blocked.observe_block(volts[lo:hi], meta[lo:hi])
+        blocked.force_dump(NUMERICAL_DIVERGENCE)
+        blocked.finalize()
+
+        assert blocked.summary() == per_cycle.summary()
+        assert [d.to_dict() for d in blocked.dumps] == [
+            d.to_dict() for d in per_cycle.dumps
+        ]
+
+
 class TestActuationTable:
     def test_shared_decision_deduped_by_identity(self):
         class Decision:
@@ -324,7 +376,7 @@ class TestCosimIntegration:
     def test_serial_and_batch_flights_are_identical(self):
         config = _fault_config("guardband-breaker")
 
-        serial = run_cosim("hotspot", config, flight=FlightRecorder(
+        serial = run_serial_cosim("hotspot", config, flight=FlightRecorder(
             num_sms=16, guardband_v=0.8, cycle_offset=-config.warmup_cycles,
         ))
         lanes = [CosimLane(benchmark="hotspot", config=config)]
