@@ -48,14 +48,14 @@ def test_cosim_stage_split():
     _run()  # warm caches / allocator
     plain_s = min(_run() for _ in range(TIMING_ROUNDS))
     traced_s = float("inf")
-    tele = None
+    tele = wall = None
     for _ in range(TIMING_ROUNDS):
         candidate = Telemetry(run_id="perf-stages")
         elapsed = _run(telemetry=candidate)
         if elapsed < traced_s:
-            traced_s = elapsed
-            tele = candidate
-    wall = tele.elapsed_s
+            # Freeze the recorder's wall time now: elapsed_s keeps
+            # growing, and read after later rounds it would span them.
+            traced_s, tele, wall = elapsed, candidate, candidate.elapsed_s
     stage_sum = sum(tele.timings.values())
     # Both legs are best-of-N minima of the same work, so the ratio is a
     # noise-resistant overhead estimate; clamp at zero because the true

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import weakref
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -104,8 +105,11 @@ class TransientSolver:
 
     # Rebound by BatchTransientSolver when it adopts this lane; a class
     # default keeps the ownership check a plain attribute read on the
-    # (far more common) un-batched hot path.
-    _batch_owner = None
+    # (far more common) un-batched hot path.  A weak reference: with a
+    # strong one the batch and its lanes would form a cycle that only
+    # the cyclic collector frees, holding every lane's arrays until it
+    # runs.
+    _batch_owner: Optional["weakref.ref"] = None
 
     def __init__(self, circuit: Circuit, dt: float, vectorized: bool = True) -> None:
         if dt <= 0:
@@ -312,7 +316,7 @@ class TransientSolver:
         self._lu = lu_factor(matrix)
         self.stats.factorizations += 1
         self._getrs = get_lapack_funcs(("getrs",), (self._lu[0],))[0]
-        owner = getattr(self, "_batch_owner", None)
+        owner = self._batch_owner and self._batch_owner()
         if owner is not None:
             owner._lanes_dirty = True
 
@@ -833,7 +837,7 @@ class BatchTransientSolver:
         self._shards: List[_SolverShard] = []
         self._lane_shard: List[_SolverShard] = []
         for s in self.solvers:
-            s._batch_owner = self
+            s._batch_owner = weakref.ref(self)
         self._last_rhs_bt: Optional[np.ndarray] = None
         self._scatter_gain = first._scatter_gain
         self._scatter_src = first._scatter_src
@@ -1479,7 +1483,7 @@ class SolverGuard:
         back to viewing its row.
         """
         solver = self.solver
-        owner = getattr(solver, "_batch_owner", None)
+        owner = solver._batch_owner and solver._batch_owner()
         if owner is None:
             return
         if not np.shares_memory(solver.solution, owner._sol_bt):

@@ -274,6 +274,7 @@ class VoltageSmoothingController:
         self._resolution_v = config.detector.resolution_v
         # (apply_at_cycle, decision) queue modelling the loop latency.
         self._pipeline: Deque[Tuple[int, ControlDecision]] = deque()
+        self._latency = config.total_latency_cycles
         self._last_decision_cycle = -config.control_period_cycles
         self._default_issue_width = float(self.actuation.issue_width_max)
         self.active_decision = self._default_decision()
@@ -362,7 +363,19 @@ class VoltageSmoothingController:
         if cycle - self._last_decision_cycle < self.config.control_period_cycles:
             return
         self._last_decision_cycle = cycle
-        self._make_decision(cycle, measured)
+        self._update_watchdog(measured)
+        if self.in_safe_state:
+            decision = self._safe_decision()
+            self.safe_state_decisions += 1
+        else:
+            decision = self._decide(measured)
+        self._apply_slew_limit(decision)
+        self._enqueue(
+            cycle, decision,
+            bool(np.any(decision.issue_widths < self._default_issue_width)),
+            bool(np.any(decision.fake_rates > 0.0)),
+            bool(np.any(decision.dcc_powers_w > 0.0)),
+        )
 
     def _advance_filters(self, sm_voltages: np.ndarray) -> np.ndarray:
         """Advance every SM's RC filter one cycle; return the measurement.
@@ -372,10 +385,6 @@ class VoltageSmoothingController:
         exactly (np.rint is round-half-even, like Python's round), so
         decisions are bit-identical to the per-object path.  Non-finite
         samples never enter the filter state.
-
-        Split out of :meth:`observe` so :class:`ControllerBank` can run
-        the same arithmetic batched over lanes (broadcasting over a
-        leading batch axis is elementwise, hence bit-identical per row).
         """
         cfg = self.config
         finite = np.isfinite(sm_voltages)
@@ -403,34 +412,26 @@ class VoltageSmoothingController:
                 measured[bad] = np.nan
         return measured
 
-    def _make_decision(self, cycle: int, measured: np.ndarray) -> None:
-        """Watchdog, Algorithm 1 body, slew limiting and enqueueing.
+    def _enqueue(
+        self,
+        cycle: int,
+        decision: ControlDecision,
+        throttling: bool,
+        fii_active: bool,
+        dcc_active: bool,
+    ) -> None:
+        """Count a post-slew decision and queue it behind the latency.
 
-        The caller has already updated ``_last_decision_cycle`` — this
-        is the per-decision tail of :meth:`observe`.
+        A throttle decision is one that cuts issue width below the
+        default — overvoltage boosts (which *inject* work) are counted
+        separately, so the Fig. 12 throttling proxy is not inflated by
+        power-adding actuation.
         """
-        self._update_watchdog(measured)
-        if self.in_safe_state:
-            decision = self._safe_decision()
-            self.safe_state_decisions += 1
-        else:
-            decision = self._decide(measured)
-        self._apply_slew_limit(decision)
         self._last_enqueued = decision
         self.decisions_made += 1
         if decision.triggered_sms:
             self.triggers += 1
-        # Per-actuator engagement accounting, on the post-slew decision
-        # actually enqueued.  A throttle decision is one that cuts issue
-        # width below the default — overvoltage boosts (which *inject*
-        # work) are counted separately, so the Fig. 12 throttling proxy
-        # is not inflated by power-adding actuation.
-        throttling = bool(
-            np.any(decision.issue_widths < self._default_issue_width)
-        )
         self._track_limit_cycle(throttling)
-        fii_active = bool(np.any(decision.fake_rates > 0.0))
-        dcc_active = bool(np.any(decision.dcc_powers_w > 0.0))
         if throttling:
             self.throttle_decisions += 1
             self.actuator_decisions["diws"] += 1
@@ -440,9 +441,7 @@ class VoltageSmoothingController:
             self.actuator_decisions["dcc"] += 1
         if fii_active or dcc_active:
             self.boost_decisions += 1
-        self._pipeline.append(
-            (cycle + self.config.total_latency_cycles, decision)
-        )
+        self._pipeline.append((cycle + self._latency, decision))
 
     def _update_watchdog(self, measured: np.ndarray) -> None:
         """Track sub-guardband streaks; escalate / release the safe state.
@@ -669,21 +668,21 @@ class ControllerBank:
 
     The batched co-simulator steps B scenarios per cycle; this bank
     vectorizes the per-cycle RC filter advance and the per-decision
-    threshold/slew arithmetic of B :class:`VoltageSmoothingController`
+    Algorithm 1 / slew arithmetic of B :class:`VoltageSmoothingController`
     instances by re-homing each lane's filter/fallback state as one row
     of shared ``(B, num_sms)`` arrays.  All batched operations are
-    elementwise with per-lane ``(B, 1)`` broadcasts (or row-wise
-    reductions), so each row is bit-identical to the serial controller;
-    everything scalar or rarely taken — the Algorithm 1 per-SM loop of
-    a *triggered* lane, watchdog streaks, pipelines, counters — still
+    elementwise with per-lane constants (or row-wise reductions), so
+    each row is bit-identical to the serial controller;
+    everything scalar — watchdog streaks, pipelines, counters — still
     runs on the owning controller.  Observable state after
-    ``bank.observe(cycle, voltages)`` is therefore byte-equal to
-    calling ``lane.observe(cycle, voltages[i])`` per lane.
+    ``bank.observe(cycle, voltages, observed)`` is therefore byte-equal
+    to calling ``lane.observe(cycle, voltages[i])`` for every lane ``i``
+    with ``observed[i]`` set.
 
-    Lanes may differ in gains, thresholds, detectors, periods and
-    actuation — only ``num_sms`` must match.  The bank takes over the
-    lanes' ``observe`` duty; do not call ``lane.observe`` directly while
-    a bank owns the lane.
+    Lanes may differ in gains, thresholds, detectors, periods, sensor
+    fallback and actuation — only ``num_sms`` must match.  The bank
+    takes over the lanes' ``observe`` duty; do not call ``lane.observe``
+    directly while a bank owns the lane.
     """
 
     def __init__(self, controllers: List[VoltageSmoothingController]) -> None:
@@ -712,87 +711,101 @@ class ControllerBank:
             c._last_good = self._last_good[i]
             c._fallback_active = self._fallback[i]
 
-        def col(values) -> np.ndarray:
-            return np.asarray(values, dtype=float).reshape(-1, 1)
+        n = self.num_sms
+
+        def col(values, dtype=float) -> np.ndarray:
+            # Per-lane constants spread across the row: same-shape
+            # ufuncs dispatch faster than (B, 1) broadcasts and give the
+            # same elementwise results.
+            column = np.asarray(values, dtype=dtype).reshape(-1, 1)
+            return np.ascontiguousarray(
+                np.broadcast_to(column, (len(column), n))
+            )
 
         self._alpha = col([c._filter_alpha for c in ctrls])
         self._step_v = col([c._resolution_v for c in ctrls])
         self._thr = col([c.config.v_threshold for c in ctrls])
         self._thr_high = col([c.config.v_high_threshold for c in ctrls])
         self._widen = col([c.config.fallback_widen_v for c in ctrls])
-        self._default_w = col([c._default_issue_width for c in ctrls])
-        self._slew = {
-            "issue": col([c.config.slew_issue for c in ctrls]),
-            "fake": col([c.config.slew_fake for c in ctrls]),
-            "dcc": col([c.config.slew_dcc_w for c in ctrls]),
-        }
+        self._fallback_on = col(
+            [c.config.sensor_fallback_enabled for c in ctrls], dtype=bool
+        )
         # Banked Algorithm 1 columns: when every lane runs the stock
-        # WeightedActuation / CurrentCompensationDAC pair, a full
-        # wave's per-SM proportional law vectorizes as (B, num_sms)
-        # array ops (see _decide_banked).  A lane with a subclassed
-        # actuation or DAC may override the command math, so any such
-        # lane disables the banked path for the whole bank.
+        # WeightedActuation / CurrentCompensationDAC pair, a wave's
+        # per-SM proportional law vectorizes as (B, num_sms) array ops
+        # (see _decide_banked).  A lane with a subclassed actuation or
+        # DAC may override the command math, so any such lane sends the
+        # bank's triggered lanes through the per-lane ``_decide``.
         if all(
             type(c.actuation) is WeightedActuation
             and type(c.actuation.dac) is CurrentCompensationDAC
             for c in ctrls
         ):
-            self._bank_cols: Optional[Dict[str, np.ndarray]] = {
-                "v_nom": col([c.config.v_nominal for c in ctrls]),
-                "iwmax": col([c.actuation.issue_width_max for c in ctrls]),
-                "k1w1": col([c.config.k1 * c.actuation.w1 for c in ctrls]),
-                "k2w2": col([c.config.k2 * c.actuation.w2 for c in ctrls]),
-                "k3w3": col([c.config.k3 * c.actuation.w3 for c in ctrls]),
-                "unit": col([c.actuation.dac.unit_power_w for c in ctrls]),
-                "max_code": col([c.actuation.dac.max_code for c in ctrls]),
-            }
+            # Columns: v_nominal, issue_width_max, k1*w1, k2*w2, k3*w3,
+            # DAC unit power, DAC max code.
+            self._bank_cols: Optional[List[np.ndarray]] = [
+                col([c.config.v_nominal for c in ctrls]),
+                col([c.actuation.issue_width_max for c in ctrls]),
+                col([c.config.k1 * c.actuation.w1 for c in ctrls]),
+                col([c.config.k2 * c.actuation.w2 for c in ctrls]),
+                col([c.config.k3 * c.actuation.w3 for c in ctrls]),
+                col([c.actuation.dac.unit_power_w for c in ctrls]),
+                col([c.actuation.dac.max_code for c in ctrls]),
+            ]
         else:
             self._bank_cols = None
+        # Decision cadence: lane i is due once cycle >= _due_at[i] (the
+        # serial ``cycle - _last_decision_cycle >= period``); between
+        # waves one integer compare against the earliest due cycle
+        # skips the test.
         self._period = np.array(
             [c.config.control_period_cycles for c in ctrls], dtype=np.int64
         )
-        self._last_decision = np.array(
-            [c._last_decision_cycle for c in ctrls], dtype=np.int64
-        )
-        # Uniform-cadence fast path: when every lane shares one control
-        # period and decision phase, the whole bank is due at the same
-        # cycles, so the due test is one integer compare instead of a
-        # (B,) reduction and the wave always covers all lanes.
-        periods = {c.config.control_period_cycles for c in ctrls}
-        lasts = {c._last_decision_cycle for c in ctrls}
-        if len(periods) == 1 and len(lasts) == 1:
-            self._uniform_period: Optional[int] = periods.pop()
-            self._next_due = lasts.pop() + self._uniform_period
-        else:
-            self._uniform_period = None
-            self._next_due = 0
+        self._due_at = self._period + [c._last_decision_cycle for c in ctrls]
+        self._next_due = int(self._due_at.min())
         self._any_fallback = bool(self._fallback.any())
         # Per-cycle observe scratch (the filter advance is dispatch-
-        # bound at small B; out= ufuncs avoid five temporaries a cycle).
+        # bound at small B; out= ufuncs avoid temporaries every cycle).
         self._obs_buf = np.empty_like(self._state)
+        self._meas_buf = np.empty_like(self._state)
         self._finite_buf = np.empty(self._state.shape, dtype=bool)
-        # Full-wave working set: the three actuator command blocks live
-        # side by side in one (B, 3*num_sms) array, so the slew clamp
-        # and its saturation test run as single ufunc calls; each
-        # lane's ControlDecision holds row-slice views of the blocks.
-        n = self.num_sms
-        n_lanes = len(ctrls)
-        self._cat_default = np.zeros((n_lanes, 3 * n))
-        self._cat_default[:, :n] = self._default_w
-        self._slew_cat = np.empty((n_lanes, 3 * n))
-        self._slew_cat[:, :n] = self._slew["issue"]
-        self._slew_cat[:, n:2 * n] = self._slew["fake"]
-        self._slew_cat[:, 2 * n:] = self._slew["dcc"]
-        self._prev_at_default = bool(
-            (self._gather_prev_cat() == self._cat_default).all()
-        )
+        # Wave working set: the three actuator command blocks live side
+        # by side in one (B, 3*num_sms) layout, so the slew clamp and
+        # its saturation test run as single ufunc calls.  ``_prev_cat``
+        # mirrors every lane's last enqueued commands and ``_at_default``
+        # flags the lanes whose last command is exactly the default one.
+        self._ids = list(range(len(ctrls)))
+        self._cat_default = np.hstack((
+            col([c._default_issue_width for c in ctrls]),
+            np.zeros((len(ctrls), 2 * n)),
+        ))
+        self._slew_cat = np.hstack((
+            col([c.config.slew_issue for c in ctrls]),
+            col([c.config.slew_fake for c in ctrls]),
+            col([c.config.slew_dcc_w for c in ctrls]),
+        ))
+        self._prev_cat = np.stack([
+            np.concatenate((d.issue_widths, d.fake_rates, d.dcc_powers_w))
+            for d in (c._last_enqueued for c in ctrls)
+        ])
+        self._at_default: List[bool] = (
+            self._prev_cat == self._cat_default
+        ).all(axis=1).tolist()
 
     # ------------------------------------------------------------------
-    def observe(self, cycle: int, sm_voltages: np.ndarray) -> None:
+    def observe(
+        self,
+        cycle: int,
+        sm_voltages: np.ndarray,
+        observed: Optional[np.ndarray] = None,
+    ) -> None:
         """Batched equivalent of per-lane ``observe`` for one cycle.
 
-        ``sm_voltages`` has shape ``(B, num_sms)`` — row i is lane i's
-        true SM voltages this cycle.
+        ``sm_voltages`` has shape ``(B, num_sms)`` — row i is what lane
+        i's detectors see this cycle.  ``observed`` is an optional
+        ``(B,)`` boolean mask: a lane whose entry is False gets no
+        observation this cycle (as if its ``observe`` were not called:
+        no filter advance, no decision).
         """
         sm_voltages = np.asarray(sm_voltages, dtype=float)
         expected = (len(self.controllers), self.num_sms)
@@ -801,15 +814,27 @@ class ControllerBank:
                 f"expected voltages of shape {expected}, got "
                 f"{sm_voltages.shape}"
             )
-        np.isfinite(sm_voltages, out=self._finite_buf)
-        if self._finite_buf.all():
-            # The all-finite fast path of _advance_filters, broadcast
-            # over lanes.  Clearing an all-False fallback row is a
-            # no-op, so one global clear matches the per-lane clears.
-            state = self._state
-            buf = self._obs_buf
-            np.subtract(sm_voltages, state, out=buf)
-            buf *= self._alpha
+        if observed is not None:
+            observed = np.asarray(observed, dtype=bool)
+            if observed.shape != expected[:1]:
+                raise ValueError(
+                    f"expected an observed mask of shape {expected[:1]}, "
+                    f"got {observed.shape}"
+                )
+            if observed.all():
+                observed = None
+        finite = self._finite_buf
+        np.isfinite(sm_voltages, out=finite)
+        has_nan = False
+        state = self._state
+        buf = self._obs_buf
+        np.subtract(sm_voltages, state, out=buf)
+        buf *= self._alpha
+        if observed is None and finite.all():
+            # Every lane sees a full finite sample: the all-finite path
+            # of _advance_filters, broadcast over lanes.  Clearing an
+            # all-False fallback row is a no-op, so one global clear
+            # matches the per-lane clears.
             state += buf
             # Quantize straight into _last_good (rows alias the lanes'
             # held-measurement arrays, which the serial path updates
@@ -821,80 +846,101 @@ class ControllerBank:
             if self._any_fallback:
                 self._fallback[:] = False
                 self._any_fallback = False
-            finite = True
         else:
-            measured = np.empty_like(sm_voltages)
-            for i, c in enumerate(self.controllers):
-                measured[i] = c._advance_filters(sm_voltages[i])
-            self._any_fallback = bool(self._fallback.any())
-            finite = bool(np.isfinite(measured).all())
-        if self._uniform_period is not None:
-            if cycle < self._next_due:
-                return
-            self._next_due = cycle + self._uniform_period
-            self._last_decision[:] = cycle
-            if finite:
-                self._decide_wave_full(cycle, measured)
-            else:
-                self._prev_at_default = False
-                for i, c in enumerate(self.controllers):
-                    c._last_decision_cycle = cycle
-                    c._make_decision(cycle, measured[i])
+            measured, has_nan = self._advance_masked(finite, observed)
+        if cycle < self._next_due:
             return
-        due = np.nonzero(cycle - self._last_decision >= self._period)[0]
-        if due.size == 0:
-            return
-        self._last_decision[due] = cycle
-        self._prev_at_default = False
-        if finite:
-            self._decide_wave(cycle, due, measured)
-        else:
-            # Sensor dropout without fallback leaves NaN in measured;
-            # replicate the serial decision path exactly for this wave.
-            for i in due:
-                c = self.controllers[i]
-                c._last_decision_cycle = cycle
-                c._make_decision(cycle, measured[i])
+        due = self._due_at <= cycle
+        if observed is not None:
+            due &= observed
+        due = due.nonzero()[0]
+        if due.size == len(self._ids):
+            np.add(self._period, cycle, out=self._due_at)
+            self._decide_wave(cycle, None, measured, has_nan)
+        elif due.size:
+            self._due_at[due] = self._period[due] + cycle
+            self._decide_wave(cycle, due.tolist(), measured, has_nan)
+        self._next_due = int(self._due_at.min())
 
-    # ------------------------------------------------------------------
-    def _gather_prev_cat(self) -> np.ndarray:
-        """Previous enqueued commands as one (B, 3*num_sms) array.
+    def _advance_masked(self, finite: np.ndarray, observed):
+        """Filter advance with dropouts and unobserved lanes.
 
-        Decisions produced by full waves carry their concatenated row
-        (``_cat``), so the usual gather is a single ``np.stack``; any
-        other decision (the initial default, a serial-path decision) is
-        concatenated on the fly.
+        Per observed row this is the non-finite branch of
+        ``_advance_filters``: non-finite samples never enter the filter,
+        and they take the held measurement (fallback on) or NaN
+        (fallback off).  Unobserved rows keep every piece of state.
+        ``self._obs_buf`` holds ``alpha * (v - state)`` on entry.
+        Returns ``(measured, has_nan)``.
         """
-        prevs = []
-        for c in self.controllers:
-            d = c._last_enqueued
-            pcat = getattr(d, "_cat", None)
-            if pcat is None:
-                pcat = np.concatenate(
-                    (d.issue_widths, d.fake_rates, d.dcc_powers_w)
-                )
-            prevs.append(pcat)
-        return np.stack(prevs)
+        update = finite if observed is None else finite & observed[:, None]
+        bad = ~finite
+        if observed is not None:
+            bad &= observed[:, None]
+        state = self._state
+        buf = self._obs_buf
+        buf += state
+        np.copyto(state, buf, where=update)
+        measured = self._meas_buf
+        np.divide(state, self._step_v, out=measured)
+        np.rint(measured, out=measured)
+        measured *= self._step_v
+        np.copyto(self._last_good, measured, where=update)
+        np.copyto(self._fallback, False, where=update)
+        has_nan = False
+        counts = np.add.reduce(bad, axis=1).tolist()
+        if any(counts):
+            held = bad & self._fallback_on
+            np.copyto(measured, self._last_good, where=held)
+            np.copyto(self._fallback, True, where=held)
+            for c, count in zip(self.controllers, counts):
+                if not count:
+                    continue
+                c.nan_samples_seen += count
+                if c.config.sensor_fallback_enabled:
+                    c.sensor_fallback_samples += count
+                else:
+                    has_nan = True
+            if has_nan:
+                measured[bad & ~self._fallback_on] = np.nan
+        self._any_fallback = bool(self._fallback.any())
+        return measured, has_nan
 
     # ------------------------------------------------------------------
-    def _decide_wave_full(self, cycle: int, measured: np.ndarray) -> None:
-        """A decision wave covering every lane (uniform cadence path).
+    def _decide_wave(
+        self,
+        cycle: int,
+        due: Optional[List[int]],
+        measured: np.ndarray,
+        has_nan: bool,
+    ) -> None:
+        """One decision wave over the ``due`` lanes (``None``: all).
 
-        Semantically identical to :meth:`_decide_wave` with all lanes
-        due, with two extra amortizations: the three actuator command
-        blocks share one ``(B, 3*num_sms)`` array so the slew clamp and
-        saturation test are single ufunc calls, and a wave where no
-        lane triggered while every previous command sat exactly at the
-        default decision skips the clamp entirely (a no-op clamp of the
-        default against itself).
+        Per due lane this is the decision half of ``observe``: watchdog,
+        safe state or Algorithm 1, slew clamp, statistics, enqueue.  The
+        array work runs row-wise over every bank row and only due rows
+        are used, so a partial wave needs no gathers.  A due lane that
+        did not trigger, is not in the safe state and whose previous
+        command is exactly the default re-enqueues that same decision
+        object (a new one would be value-identical); the others share
+        one command block for Algorithm 1, the slew clamp and the
+        statistics.  NaN measurements (dropouts with the fallback off)
+        fail every threshold compare, as in the serial loop, and stay
+        out of the watchdog's worst SM.
         """
         ctrls = self.controllers
+        ids = self._ids if due is None else due
         m = measured
-        worst = m.min(axis=1).tolist()
-        for i, c in enumerate(ctrls):
+        worst = np.minimum.reduce(
+            np.where(np.isnan(m), np.inf, m) if has_nan else m, axis=1
+        ).tolist()
+        safe = []
+        for i in ids:
+            c = ctrls[i]
             c._last_decision_cycle = cycle
-            c._note_worst_measurement(worst[i])
-        n = self.num_sms
+            if worst[i] != np.inf:  # all-NaN rows carry no evidence
+                c._note_worst_measurement(worst[i])
+            if c.in_safe_state:
+                safe.append(i)
         if self._any_fallback:
             widen = np.where(self._fallback, self._widen, 0.0)
             low = m < self._thr + widen
@@ -902,85 +948,83 @@ class ControllerBank:
         else:
             low = m < self._thr
             high = m > self._thr_high
+        if safe:
+            # The safe state replaces Algorithm 1 (no triggers counted).
+            low[safe] = False
+            high[safe] = False
         trig_mask = low | high
-        trig = trig_mask.any(axis=1).tolist()
-        any_safe = any(c.in_safe_state for c in ctrls)
-        active = any(trig) or any_safe
-        if not active and self._prev_at_default:
-            # Idle wave: every previous command sits exactly at the
-            # default and nothing triggered, so the new command is
-            # value-identical to the previous one.  Re-enqueue the same
-            # decision object — downstream consumers can then skip
-            # actuation entirely on an identity check.
-            for c in ctrls:
-                c.decisions_made += 1
-                c._track_limit_cycle(False)
-                c._pipeline.append(
-                    (cycle + c.config.total_latency_cycles, c._last_enqueued)
-                )
+        trig = np.logical_or.reduce(trig_mask, axis=1).tolist()
+        at_default = self._at_default
+        work = []
+        for i in ids:
+            if trig[i] or not at_default[i] or i in safe:
+                work.append(i)
+                continue
+            c = ctrls[i]
+            c.decisions_made += 1
+            c._track_limit_cycle(False)
+            c._pipeline.append((cycle + c._latency, c._last_enqueued))
+        if not work:
             return
+        n = self.num_sms
         cat = self._cat_default.copy()
         widths = cat[:, :n]
         fakes = cat[:, n:2 * n]
         dcc = cat[:, 2 * n:]
-        decisions = []
-        for j in range(len(ctrls)):
-            d = ControlDecision(
-                issue_widths=widths[j], fake_rates=fakes[j],
-                dcc_powers_w=dcc[j],
-            )
-            d._cat = cat[j]
-            decisions.append(d)
-        if self._bank_cols is not None and not any_safe:
-            if any(trig):
-                self._decide_banked(
-                    m, low, high, trig_mask, trig, decisions,
-                    widths, fakes, dcc,
+        for i in safe:
+            c = ctrls[i]
+            widths[i] = float(c.config.safe_issue_width)
+            c.safe_state_decisions += 1
+        triggered_sms = {}
+        triggered = [i for i in work if trig[i]]
+        if triggered and self._bank_cols is not None:
+            self._decide_banked(m, low, high, widths, fakes, dcc)
+            for i in triggered:
+                triggered_sms[i] = [
+                    sm for sm, hit in enumerate(trig_mask[i].tolist()) if hit
+                ]
+        elif triggered:
+            for i in triggered:
+                d = ControlDecision(
+                    issue_widths=widths[i], fake_rates=fakes[i],
+                    dcc_powers_w=dcc[i],
                 )
-        else:
-            for j, c in enumerate(ctrls):
-                if c.in_safe_state:
-                    widths[j] = float(c.config.safe_issue_width)
-                    c.safe_state_decisions += 1
-                elif trig[j]:
-                    c._decide(m[j], decision=decisions[j])
-        prev_cat = self._gather_prev_cat()
-        clamped = np.clip(
-            cat, prev_cat - self._slew_cat, prev_cat + self._slew_cat
-        )
-        changed = clamped != cat
-        cat[:] = clamped
-        sat_i = changed[:, :n].any(axis=1).tolist()
-        sat_f = changed[:, n:2 * n].any(axis=1).tolist()
-        sat_d = changed[:, 2 * n:].any(axis=1).tolist()
-        throttling = (widths < self._default_w).any(axis=1).tolist()
-        fii_active = (fakes > 0.0).any(axis=1).tolist()
-        dcc_active = (dcc > 0.0).any(axis=1).tolist()
-        self._prev_at_default = bool((cat == self._cat_default).all())
-        for j, c in enumerate(ctrls):
-            d = decisions[j]
-            if sat_i[j]:
-                c.slew_saturations["issue"] += 1
-            if sat_f[j]:
-                c.slew_saturations["fake"] += 1
-            if sat_d[j]:
-                c.slew_saturations["dcc"] += 1
-            c._last_enqueued = d
-            c.decisions_made += 1
-            if d.triggered_sms:
-                c.triggers += 1
-            throttled = throttling[j]
-            c._track_limit_cycle(throttled)
-            if throttled:
-                c.throttle_decisions += 1
-                c.actuator_decisions["diws"] += 1
-            if fii_active[j]:
-                c.actuator_decisions["fii"] += 1
-            if dcc_active[j]:
-                c.actuator_decisions["dcc"] += 1
-            if fii_active[j] or dcc_active[j]:
-                c.boost_decisions += 1
-            c._pipeline.append((cycle + c.config.total_latency_cycles, d))
+                ctrls[i]._decide(m[i], decision=d)
+                triggered_sms[i] = d.triggered_sms
+        prev = self._prev_cat
+        clamped = np.clip(cat, prev - self._slew_cat, prev + self._slew_cat)
+        rows = len(cat)
+        # Per-actuator flags, one (B, 3) reduction each: the slew clamp
+        # saturated; the command throttles (issue < default) or boosts
+        # (fake/DCC > 0).
+        saturated = np.logical_or.reduce(
+            (clamped != cat).reshape(rows, 3, n), axis=2
+        ).tolist()
+        engaged = np.empty((rows, 3 * n), dtype=bool)
+        np.less(clamped[:, :n], self._cat_default[:, :n], out=engaged[:, :n])
+        np.greater(clamped[:, n:], 0.0, out=engaged[:, n:])
+        engaged = np.logical_or.reduce(
+            engaged.reshape(rows, 3, n), axis=2
+        ).tolist()
+        at_default = np.logical_and.reduce(
+            clamped == self._cat_default, axis=1
+        ).tolist()
+        # The new decisions hold row views of a block owned by this
+        # wave's work lanes alone, so they stay immutable after enqueue.
+        owned = clamped[work]
+        prev[work] = owned
+        for k, i in enumerate(work):
+            c = ctrls[i]
+            self._at_default[i] = at_default[i]
+            for key, hit in zip(("issue", "fake", "dcc"), saturated[i]):
+                if hit:
+                    c.slew_saturations[key] += 1
+            d = ControlDecision(
+                issue_widths=owned[k, :n], fake_rates=owned[k, n:2 * n],
+                dcc_powers_w=owned[k, 2 * n:],
+                triggered_sms=triggered_sms.get(i, []),
+            )
+            c._enqueue(cycle, d, *engaged[i])
 
     # ------------------------------------------------------------------
     def _decide_banked(
@@ -988,18 +1032,16 @@ class ControllerBank:
         m: np.ndarray,
         low: np.ndarray,
         high: np.ndarray,
-        trig_mask: np.ndarray,
-        trig: List[bool],
-        decisions: List[ControlDecision],
         widths: np.ndarray,
         fakes: np.ndarray,
         dcc: np.ndarray,
     ) -> None:
-        """Vectorized Algorithm 1 body across every triggered lane.
+        """Vectorized Algorithm 1 body across every bank row.
 
-        Bit-identical to ``c._decide(m[j])`` per triggered lane, for
+        Bit-identical to ``c._decide(m[i])`` per triggered lane, for
         the stock :class:`WeightedActuation` /
-        :class:`CurrentCompensationDAC` pair:
+        :class:`CurrentCompensationDAC` pair (rows that did not trigger
+        have all-False ``low``/``high`` and keep their defaults):
 
         * low side writes ``min(iwmax, max(0, iwmax - (k1*w1)*err))``
           (the clamps collapse to ``iwmax`` exactly where ``err <= 0``,
@@ -1013,118 +1055,17 @@ class ControllerBank:
         ``k1*w1`` etc. are precomputed per lane so the product
         associates exactly as the serial ``k1 * self.w1 * error_v``.
         """
-        cols = self._bank_cols
-        iwmax = cols["iwmax"]
-        err = cols["v_nom"] - m
-        w_raw = np.minimum(
-            iwmax, np.maximum(0.0, iwmax - cols["k1w1"] * err)
-        )
+        v_nom, iwmax, k1w1, k2w2, k3w3, unit, max_code = self._bank_cols
+        err = v_nom - m
+        w_raw = np.minimum(iwmax, np.maximum(0.0, iwmax - k1w1 * err))
         np.copyto(widths, np.where(err > 0, w_raw, iwmax), where=low)
         high_eff = high & ~low
         if high_eff.any():
-            over = m - cols["v_nom"]
+            over = m - v_nom
             pos = over > 0
-            fake = np.minimum(2.0, np.maximum(0.0, cols["k2w2"] * over))
+            fake = np.minimum(2.0, np.maximum(0.0, k2w2 * over))
             np.copyto(fakes, np.where(pos, fake, 0.0), where=high_eff)
-            p = cols["k3w3"] * over
-            code = np.minimum(cols["max_code"], np.rint(p / cols["unit"]))
-            power = np.where(pos & (p > 0), code * cols["unit"], 0.0)
+            p = k3w3 * over
+            code = np.minimum(max_code, np.rint(p / unit))
+            power = np.where(pos & (p > 0), code * unit, 0.0)
             np.copyto(dcc, power, where=high_eff)
-        for j, d in enumerate(decisions):
-            if trig[j]:
-                d.triggered_sms = np.flatnonzero(trig_mask[j]).tolist()
-
-    # ------------------------------------------------------------------
-    def compact(self, keep: List[int]) -> "ControllerBank":
-        """Rebuild the bank over the ``keep`` lanes (batch quarantine).
-
-        Mid-run re-homing is exact: every piece of mutable lane state
-        either lives on the controller object itself (pipelines,
-        counters, ``_last_decision_cycle``, ``_last_enqueued``) or is a
-        row *view* of the bank arrays — so the constructor's
-        ``np.stack`` reads current values — and the due bookkeeping is
-        reconstructed from ``_last_decision_cycle + period``, which is
-        exactly the serial controller's cadence.  Dropped lanes'
-        controllers are left untouched (their state rows simply stop
-        being advanced).
-        """
-        return ControllerBank([self.controllers[i] for i in keep])
-
-    # ------------------------------------------------------------------
-    def _decide_wave(self, cycle: int, due: np.ndarray, measured) -> None:
-        """One decision wave over the due lanes (all measurements finite)."""
-        ctrls = self.controllers
-        m = measured[due]
-        n_due, n_sms = m.shape
-        worst = m.min(axis=1)
-        for j, i in enumerate(due):
-            c = ctrls[i]
-            c._last_decision_cycle = cycle
-            c._note_worst_measurement(float(worst[j]))
-        # Wave-owned decision arrays: each lane's decision holds row
-        # views of arrays allocated for this wave only, so decisions
-        # stay immutable after enqueue (the commands_for cache relies
-        # on that) without per-lane allocations.
-        widths = np.empty((n_due, n_sms))
-        widths[:] = self._default_w[due]
-        fakes = np.zeros((n_due, n_sms))
-        dcc = np.zeros((n_due, n_sms))
-        decisions = [
-            ControlDecision(
-                issue_widths=widths[j], fake_rates=fakes[j],
-                dcc_powers_w=dcc[j],
-            )
-            for j in range(n_due)
-        ]
-        # Trigger pre-check: a lane enters the per-SM Algorithm 1 loop
-        # only if some SM crosses a (possibly fallback-widened)
-        # threshold — the exact condition under which the serial
-        # _decide deviates from the default decision.
-        widen = np.where(self._fallback[due], self._widen[due], 0.0)
-        trig = (
-            (m < self._thr[due] + widen) | (m > self._thr_high[due] + widen)
-        ).any(axis=1)
-        for j, i in enumerate(due):
-            c = ctrls[i]
-            if c.in_safe_state:
-                widths[j] = float(c.config.safe_issue_width)
-                c.safe_state_decisions += 1
-            elif trig[j]:
-                c._decide(m[j], decision=decisions[j])
-        # Batched per-actuator slew limiting: same np.clip ufunc, with
-        # per-lane previous commands and (B, 1) slew limits.
-        for key, values, prev in (
-            ("issue", widths,
-             np.stack([ctrls[i]._last_enqueued.issue_widths for i in due])),
-            ("fake", fakes,
-             np.stack([ctrls[i]._last_enqueued.fake_rates for i in due])),
-            ("dcc", dcc,
-             np.stack([ctrls[i]._last_enqueued.dcc_powers_w for i in due])),
-        ):
-            slew = self._slew[key][due]
-            clamped = np.clip(values, prev - slew, prev + slew)
-            saturated = (clamped != values).any(axis=1)
-            values[:] = clamped
-            for j in np.nonzero(saturated)[0]:
-                ctrls[due[j]].slew_saturations[key] += 1
-        throttling = (widths < self._default_w[due]).any(axis=1)
-        fii_active = (fakes > 0.0).any(axis=1)
-        dcc_active = (dcc > 0.0).any(axis=1)
-        for j, i in enumerate(due):
-            c = ctrls[i]
-            d = decisions[j]
-            c._last_enqueued = d
-            c.decisions_made += 1
-            if d.triggered_sms:
-                c.triggers += 1
-            c._track_limit_cycle(bool(throttling[j]))
-            if throttling[j]:
-                c.throttle_decisions += 1
-                c.actuator_decisions["diws"] += 1
-            if fii_active[j]:
-                c.actuator_decisions["fii"] += 1
-            if dcc_active[j]:
-                c.actuator_decisions["dcc"] += 1
-            if fii_active[j] or dcc_active[j]:
-                c.boost_decisions += 1
-            c._pipeline.append((cycle + c.config.total_latency_cycles, d))

@@ -19,11 +19,20 @@ the points ``run_cosim`` exposes:
 
 Stochastic faults draw from the schedule's own seeded generator, so a
 scenario is reproducible independently of the workload RNG.
+
+Event windows are fixed half-open ``[start, end)`` spans, so which
+events are active can only change at a window edge.  Each hook keeps its
+event group's active subset in an :class:`_ActiveWindows` cache that is
+recomputed only when a cycle leaves the span between two edges, and
+:meth:`FaultInjector.next_edge` lets the co-sim loop skip the
+edge-driven hooks between edges altogether.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+import sys
+from bisect import bisect_right
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +55,44 @@ from repro.faults.events import (
 )
 
 
+#: ``next_edge`` past the last window edge.
+NO_EDGE = sys.maxsize
+
+
+def _window_edges(events) -> List[int]:
+    """Sorted cycles where any of ``events`` turns on or off."""
+    return sorted(
+        {e.start_cycle for e in events} | {e.end_cycle for e in events}
+    )
+
+
+class _SpanMemo:
+    """``fn(cycle)`` for a function of which events are active, cached.
+
+    Event windows are fixed, so ``fn`` can only change value at one of
+    its group's window edges: the memo recomputes it only when ``cycle``
+    leaves the span ``[lo, hi)`` between the two edges around the
+    cached value.
+    """
+
+    __slots__ = ("edges", "fn", "lo", "hi", "value")
+
+    def __init__(self, events, fn: Callable[[int], object]) -> None:
+        self.edges = _window_edges(events)
+        self.fn = fn
+        self.lo = self.hi = 0  # empty span: the first lookup computes
+        self.value = None
+
+    def at(self, cycle: int):
+        if not self.lo <= cycle < self.hi:
+            edges = self.edges
+            k = bisect_right(edges, cycle)
+            self.lo = edges[k - 1] if k else -NO_EDGE
+            self.hi = edges[k] if k < len(edges) else NO_EDGE
+            self.value = self.fn(cycle)
+        return self.value
+
+
 class FaultInjector:
     """Applies a :class:`FaultSchedule` to one co-simulation's objects.
 
@@ -53,6 +100,13 @@ class FaultInjector:
     and solver; ``run_cosim`` calls the per-cycle hooks with *recorded*
     cycle numbers (0 = end of warmup).  All hooks are cheap no-ops when
     no event of their category is scheduled.
+
+    ``apply_circuit_faults``, ``frequency_scales``, ``halted_sms`` and
+    ``active_kinds`` depend only on which events are active, so a
+    caller may call them at the edges ``next_edge`` reports instead of
+    every cycle (``halted_sms`` still counts every cycle it skipped).
+    The hooks that draw random numbers (``corrupt_sensors``,
+    ``observation_allowed``, ``extra_latency``) must run every cycle.
     """
 
     def __init__(
@@ -194,26 +248,64 @@ class FaultInjector:
             "latency_jitter_cycles": 0,
         }
 
-        # Active-kind signature cache for the flight recorder: event
-        # windows are fixed, so the kinds tuple only changes at edges.
-        self._kinds_sig: Optional[Tuple[bool, ...]] = None
-        self._kinds_active: Tuple[str, ...] = ()
+        # Per-group views of the active events, recomputed only at the
+        # group's window edges.  The memo functions close over locals
+        # only: a closure over ``self`` would make the injector (and
+        # the PDN and solver it holds) garbage that only the cyclic
+        # collector can free.
+        self._edges = _window_edges(ev)
+        netlist, pv, pv_scales = self._netlist_events, self._pv_events, \
+            self._pv_scales
+        sensors, jitter = self._sensor_events, self._jitter_events
+        halts, dfs = self._halt_events, self._dfs_events
+        sensor_idx = [self._sm_indices(e) for e in sensors]
+        halt_sms = [
+            stack.sms_in_layer(e.layer) if isinstance(e, LayerShutoff)
+            else e.sms
+            for e in halts
+        ]
+        self._kinds = _SpanMemo(ev, lambda c: tuple(
+            e.kind for e in ev if e.active(c)
+        ))
+        self._netlist_now = _SpanMemo(netlist, lambda c: tuple(
+            e.active(c) for e in netlist
+        ))
+        self._pv_now = _SpanMemo(pv, lambda c: [
+            scales for e, scales in zip(pv, pv_scales) if e.active(c)
+        ])
+        self._sensor_now = _SpanMemo(sensors, lambda c: [
+            (e, idx) for e, idx in zip(sensors, sensor_idx) if e.active(c)
+        ])
+        self._jitter_now = _SpanMemo(jitter, lambda c: [
+            e for e in jitter if e.active(c)
+        ])
+        self._halted_now = _SpanMemo(halts, lambda c: frozenset(
+            sm for e, sms in zip(halts, halt_sms) if e.active(c) for sm in sms
+        ))
+        # Last cycle counted into halted_sm_cycles (None before any).
+        self._halted_through: Optional[int] = None
+        self._dfs_now = _SpanMemo(dfs, lambda c: tuple(
+            e.active(c) for e in dfs
+        ))
 
     # ------------------------------------------------------------------
+    def next_edge(self, cycle: int) -> int:
+        """The first window edge after ``cycle`` (:data:`NO_EDGE` if none).
+
+        Between two edges no event turns on or off, so the edge-driven
+        hooks return the same result on every cycle of the span.
+        """
+        k = bisect_right(self._edges, cycle)
+        return self._edges[k] if k < len(self._edges) else NO_EDGE
+
     def active_kinds(self, cycle: int) -> Tuple[str, ...]:
         """The kinds of every event active this recorded cycle.
 
         Cheap enough for per-cycle sampling (the droop flight recorder
         stores it alongside each ring row): the tuple is rebuilt only
-        when the activation signature changes.
+        at window edges.
         """
-        sig = tuple(e.active(cycle) for e in self.schedule.events)
-        if sig != self._kinds_sig:
-            self._kinds_sig = sig
-            self._kinds_active = tuple(
-                e.kind for e, on in zip(self.schedule.events, sig) if on
-            )
-        return self._kinds_active
+        return self._kinds.at(cycle)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -237,7 +329,7 @@ class FaultInjector:
         """
         if not self._netlist_events:
             return False
-        sig = tuple(e.active(cycle) for e in self._netlist_events)
+        sig = self._netlist_now.at(cycle)
         if sig == self._netlist_sig:
             return False
         self._netlist_sig = sig
@@ -265,8 +357,8 @@ class FaultInjector:
 
     def scale_powers(self, cycle: int, powers: np.ndarray) -> np.ndarray:
         """Apply active process-variation scaling (in place)."""
-        for event, scales in zip(self._pv_events, self._pv_scales):
-            if event.active(cycle):
+        if self._pv_events:
+            for scales in self._pv_now.at(cycle):
                 powers *= scales
         return powers
 
@@ -280,12 +372,13 @@ class FaultInjector:
         noise fault overrides it on the shared SMs — scenario files
         control the composition.
         """
-        active = [e for e in self._sensor_events if e.active(cycle)]
+        if not self._sensor_events:
+            return voltages
+        active = self._sensor_now.at(cycle)
         if not active:
             return voltages
         seen = voltages.copy()
-        for event in active:
-            idx = self._sm_indices(event)
+        for event, idx in active:
             if isinstance(event, SensorNoise):
                 seen[idx] += self.rng.normal(0.0, event.sigma_v, size=len(idx))
                 self.counters["sensor_samples_corrupted"] += len(idx)
@@ -304,10 +397,11 @@ class FaultInjector:
 
     def observation_allowed(self, cycle: int) -> bool:
         """False when loop jitter drops this cycle's observation."""
-        for event in self._jitter_events:
+        if not self._jitter_events:
+            return True
+        for event in self._jitter_now.at(cycle):
             if (
-                event.active(cycle)
-                and event.drop_probability > 0.0
+                event.drop_probability > 0.0
                 and self.rng.random() < event.drop_probability
             ):
                 self.counters["observations_dropped"] += 1
@@ -316,9 +410,11 @@ class FaultInjector:
 
     def extra_latency(self, cycle: int) -> int:
         """Additional command-readout latency injected this cycle."""
+        if not self._jitter_events:
+            return 0
         extra = 0
-        for event in self._jitter_events:
-            if event.active(cycle) and event.extra_latency_cycles > 0:
+        for event in self._jitter_now.at(cycle):
+            if event.extra_latency_cycles > 0:
                 extra += int(
                     self.rng.integers(0, event.extra_latency_cycles + 1)
                 )
@@ -361,25 +457,35 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # System layer
     # ------------------------------------------------------------------
-    def halted_sms(self, cycle: int) -> Set[int]:
-        """SMs forced idle this cycle (layer shutoff + power gating)."""
-        halted: Set[int] = set()
-        for event in self._halt_events:
-            if not event.active(cycle):
-                continue
-            if isinstance(event, LayerShutoff):
-                halted.update(self.stack.sms_in_layer(event.layer))
-            else:
-                halted.update(event.sms)
-        if halted:
-            self.counters["halted_sm_cycles"] += len(halted)
-        return halted
+    def halted_sms(self, cycle: int) -> FrozenSet[int]:
+        """SMs forced idle this cycle (layer shutoff + power gating).
+
+        ``halted_sm_cycles`` counts each cycle once, from the first call
+        through ``cycle``, with the set in force on that cycle: calling
+        only at the edges ``next_edge`` reports (plus once at the last
+        cycle) counts exactly what one call per cycle would.
+        """
+        if not self._halt_events:
+            return frozenset()
+        memo = self._halted_now
+        start = cycle
+        if self._halted_through is not None:
+            start = self._halted_through + 1
+        c = start
+        while c <= cycle:
+            halted = memo.at(c)
+            stop = min(memo.hi, cycle + 1)
+            self.counters["halted_sm_cycles"] += len(halted) * (stop - c)
+            c = stop
+        if start <= cycle:
+            self._halted_through = cycle
+        return memo.at(cycle)
 
     def frequency_scales(self, cycle: int) -> Optional[np.ndarray]:
         """Per-SM frequency scales, or None when unchanged since last call."""
         if not self._dfs_events:
             return None
-        sig = tuple(e.active(cycle) for e in self._dfs_events)
+        sig = self._dfs_now.at(cycle)
         if sig == self._dfs_sig:
             return None
         self._dfs_sig = sig
@@ -393,6 +499,14 @@ class FaultInjector:
     @property
     def touches_circuit(self) -> bool:
         return bool(self._netlist_events or self._pv_events)
+
+    @property
+    def touches_power(self) -> bool:
+        return bool(self._pv_events)
+
+    @property
+    def touches_halts(self) -> bool:
+        return bool(self._halt_events)
 
     @property
     def touches_sensors(self) -> bool:

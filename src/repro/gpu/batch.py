@@ -12,9 +12,10 @@ lanes through one ``engine_step_batch`` call per cycle instead of B
 ``engine_step`` calls — the per-lane C work is unchanged (lanes share
 nothing, so cross-lane order cannot affect results); only the Python
 and ctypes dispatch around it is amortized.  Lanes with a non-empty
-barrier-exempt set (power-gating faults) or a NumPy engine fall back to
-the per-lane path for that cycle, preserving the serial protocol
-exactly.
+barrier-exempt set (halted SMs under shutoff or power-gating faults)
+stay on the fused call: only their kernel-launch check differs, and it
+runs the serial exempt-aware test.  A batch with any NumPy-engine lane
+steps every lane through its own ``GPU.step_into``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class _FusedDispatch:
 
     __slots__ = ("lib", "ptrs", "ndone", "engines", "lanes", "slots",
                  "counters", "powers", "call", "B", "ndone_ptr", "nsms",
-                 "last_ndone", "stale")
+                 "last_ndone")
 
     def __init__(self, lib: ctypes.CDLL, gpus: Sequence[GPU]) -> None:
         self.lib = lib
@@ -50,7 +51,7 @@ class _FusedDispatch:
         self.counters = np.zeros((B, 2), dtype=np.int64)
         self.powers = np.zeros((B, engines[0].num_sms))
         for i, eng in enumerate(engines):
-            self.slots[i] = eng._mem_slot[0]
+            self.slots[i] = eng.memory._next_service_slot
             self.counters[i] = eng._mem_counters
             self.powers[i] = eng._powers_buf
             eng._mem_slot = self.slots[i : i + 1]
@@ -70,10 +71,9 @@ class _FusedDispatch:
         self.nsms = engines[0].num_sms
         # last_ndone mirrors each engine's _c_ndone as plain ints so
         # the per-cycle launch check reads list slots, not attributes.
-        # stale=True forces a resync from engine state (first fused
-        # cycle, and after any per-lane fallback cycle).
-        self.last_ndone: list = []
-        self.stale = True
+        # Only the fused call steps these engines from here on, so the
+        # mirrors (these ints, the slots rows) stay authoritative.
+        self.last_ndone: list = [eng._c_ndone for eng in engines]
 
 
 class GPUBatch:
@@ -107,9 +107,9 @@ class GPUBatch:
             for gpu in self.gpus
         ):
             return None
-        # Alignment is invariant once established: both the fused and
-        # the per-lane fallback path advance every lane exactly one
-        # cycle per step_into, so checking once here suffices.
+        # Alignment is invariant once established: the fused call
+        # advances every lane exactly one cycle per step_into, so
+        # checking once here suffices.
         if len({gpu.cycle for gpu in self.gpus}) != 1:
             return None
         lib = load_engine_lib()
@@ -129,12 +129,8 @@ class GPUBatch:
         fused = self._fused
         if fused is None and not self._fused_probed:
             fused = self._probe_fused()
-        if fused is not None and not any(gpu.barrier_exempt for gpu in gpus):
-            return self._step_fused(fused, gpus[0].cycle, out)
         if fused is not None:
-            # Per-lane stepping advances engine/memory state outside
-            # the fused mirrors; resync before the next fused cycle.
-            fused.stale = True
+            return self._step_fused(fused, gpus[0].cycle, out)
         for i, gpu in enumerate(gpus):
             gpu.step_into(out[i])
         return out
@@ -146,31 +142,34 @@ class GPUBatch:
 
         Mirrors ``VectorizedGPUEngine._step_c``'s per-lane protocol —
         launch barrier, memory-queue slot shuttle, counter sync —
-        around a single crossing of the ctypes boundary.
+        around a single crossing of the ctypes boundary.  A lane with
+        barrier-exempt SMs launches when every SM is done or exempt
+        (``_step_c``'s exempt test); every other lane when all its SMs
+        reported done.
         """
         lanes = fused.lanes
         ptrs = fused.ptrs
-        if fused.stale:
-            # First fused cycle, or a fallback cycle ran since: pull
-            # the authoritative per-lane state back into the mirrors.
-            fused.slots[:] = [mem._next_service_slot for _, _, mem in lanes]
-            last = [eng._c_ndone for _, eng, _ in lanes]
-            fused.stale = False
-        else:
-            # Steady state: the C kernel stepped through the shared
-            # arrays last cycle and nothing else touched them, so the
-            # mirrors (slots rows, last_ndone ints) are already current.
-            last = fused.last_ndone
         nsms = fused.nsms
-        for i, nd in enumerate(last):
-            if nd == nsms:
-                gpu, eng, mem = lanes[i]
-                eng._load_generation(eng.generation + 1)
-                # _rebuild_cstate allocated a fresh struct; repoint.
-                ptrs[i] = eng._cstate_ptr
-                gpu._generation = eng.generation
-                gpu.kernels_launched += 1
-                gpu.kernel_launch_cycles.append(gpu.cycle)
+        last = fused.last_ndone
+        launch = [i for i, nd in enumerate(last) if nd == nsms]
+        for i, gpu in enumerate(self.gpus):
+            exempt = gpu.barrier_exempt
+            # All SMs done implies all done-or-exempt, and fewer than
+            # nsms - |exempt| done SMs rules it out: only the lanes in
+            # between need the mask test.
+            if exempt and nsms > last[i] >= nsms - len(exempt) and bool(
+                np.all(lanes[i][1].kernel_done_mask()
+                       | gpu._refresh_exempt_mask())
+            ):
+                launch.append(i)
+        for i in launch:
+            gpu, eng, mem = lanes[i]
+            eng._load_generation(eng.generation + 1)
+            # _rebuild_cstate allocated a fresh struct; repoint.
+            ptrs[i] = eng._cstate_ptr
+            gpu._generation = eng.generation
+            gpu.kernels_launched += 1
+            gpu.kernel_launch_cycles.append(gpu.cycle)
         rc = fused.call(ptrs, fused.B, cycle, fused.ndone_ptr)
         if rc < 0:
             raise RuntimeError("C engine pending-load heap overflow")

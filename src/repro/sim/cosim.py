@@ -36,6 +36,7 @@ from repro.circuits import (
 )
 from repro.config import StackConfig, SystemConfig
 from repro.faults import chaos
+from repro.faults.injector import NO_EDGE
 from repro.core.actuators import WeightedActuation
 from repro.core.controller import (
     ControllerBank,
@@ -477,7 +478,8 @@ class _BatchLaneState:
 
     __slots__ = (
         "index", "name", "config", "gpu", "pdn", "solver", "injector",
-        "controller", "controller_power", "in_bank", "shutoff_sms",
+        "controller", "controller_power", "in_bank", "bank_slot",
+        "shutoff_sms", "next_edge", "fault_kinds",
         "instructions_at_start", "fakes_at_start", "throttled_at_start",
         "applied_decision", "applied_halted", "halted_idx",
         "count_from", "active_throttling",
@@ -553,6 +555,10 @@ class _BatchLaneState:
         self.dead_at = 0
         self.divergence = None
         self.in_bank = False
+        self.bank_slot = -1  # row in the controller bank's arrays
+        # Recorded cycle of the next event-window edge (first cycle: now).
+        self.next_edge = -NO_EDGE
+        self.fault_kinds = None
         # The decision in force (what the flight recorder samples).
         self.last_decision = None
         self.flight = None
@@ -566,8 +572,8 @@ class _BatchLaneState:
         # an unchanged decision is skipped; holding a strong reference to
         # the applied decision keeps the identity check sound.
         self.applied_decision = None
-        self.applied_halted: tuple = ()
-        self.halted_idx: List[int] = []
+        self.applied_halted: List[int] = []
+        self.halted_idx: List[int] = []  # sorted; replaced, never mutated
         # Event-driven throttle accounting (fast lanes): the active
         # decision's throttle flag covers the half-open cycle span
         # [count_from, next pop); the span length is credited to
@@ -575,6 +581,36 @@ class _BatchLaneState:
         # one-count-per-cycle commands_for bookkeeping.
         self.count_from = 0
         self.active_throttling = False
+
+    def update_halted(self, recorded_cycle: int, num: int) -> None:
+        """Redo halted SMs (exempt from the launch barrier; full issue
+        width elsewhere without a controller) and fault kinds at an
+        event edge, and find the next edge."""
+        halted: set = set()
+        edge = NO_EDGE
+        shutoff = self.config.shutoff
+        if shutoff is not None:
+            if shutoff.active(recorded_cycle):
+                halted.update(self.shutoff_sms)
+            for bound in (shutoff.start_cycle, shutoff.end_cycle):
+                if recorded_cycle < bound < edge:
+                    edge = bound
+        if self.injector is not None:
+            halted.update(self.injector.halted_sms(recorded_cycle))
+            self.fault_kinds = self.injector.active_kinds(recorded_cycle)
+            edge = min(edge, self.injector.next_edge(recorded_cycle))
+        self.next_edge = edge
+        self.gpu.barrier_exempt = halted
+        self.halted_idx = sorted(halted)
+        if self.controller is None and (
+            self.applied_decision is None
+            or self.halted_idx != self.applied_halted
+        ):
+            widths = np.full(num, 2.0)
+            widths[self.halted_idx] = 0.0
+            self.gpu.set_issue_widths(widths)
+            self.applied_decision = widths
+            self.applied_halted = self.halted_idx
 
     def actuate(self, decision, dcc_row: np.ndarray) -> None:
         """Apply an unhalted lane's decision (the setters copy)."""
@@ -637,6 +673,25 @@ def _settle_throttle_span(ln: _BatchLaneState, cycle: int) -> None:
     ln.controller._counted_through_cycle = cycle - 1
 
 
+def _bank_front_end(members: List[_BatchLaneState], rows: int):
+    """``(bank, bank_rows, all_banked, observed)`` over ``members``;
+    ``observed`` is the bank's observation mask, ``None`` unless a
+    member's faults can drop observations."""
+    for slot, ln in enumerate(members):
+        ln.in_bank, ln.bank_slot = True, slot
+    observed = None
+    if any(ln.injector is not None and ln.injector.touches_timing
+           for ln in members):
+        observed = np.ones(len(members), dtype=bool)
+    return (
+        ControllerBank([ln.controller for ln in members]) if members
+        else None,
+        np.array([ln.row for ln in members], dtype=np.intp),
+        len(members) == rows,
+        observed,
+    )
+
+
 def run_cosim_batch(
     lanes: List[CosimLane],
     system: SystemConfig = SystemConfig(),
@@ -650,8 +705,8 @@ def run_cosim_batch(
     (``run_cosim`` is this loop with one lane): ops across the batch
     axis are elementwise or row-wise, the circuit back-substitution
     stays one LAPACK call per lane, and everything data-dependent
-    (kernel scheduling, fault RNG, triggered controller decisions) runs
-    on per-lane objects.  The batch exists for throughput: one NumPy
+    (kernel scheduling, fault RNG, controller streaks and pipelines)
+    runs on per-lane objects.  The batch exists for throughput: one NumPy
     dispatch per array op instead of B.  The serial loop it is checked
     against lives in the test suite (``tests/oracles/serial_cosim.py``).
 
@@ -749,23 +804,22 @@ def _run_lanes(
     alive: List[_BatchLaneState] = list(states)
     alive_idx = slice(None)
 
-    # Batched sensor/decision front end for the "fast" lanes: the stock
-    # controller with an uncorrupted sensor path.  Lanes with injectors
-    # (corrupted/delayed observations) or duck-typed controller objects
+    # Batched sensor/decision front end: every lane running the stock
+    # controller, fault-injected or not.  Duck-typed controller objects
     # keep the per-lane observe/commands_for path.
     bank_members = [
         ln for ln in states
-        if ln.injector is None
-        and isinstance(ln.controller, VoltageSmoothingController)
+        if isinstance(ln.controller, VoltageSmoothingController)
     ]
-    for ln in bank_members:
-        ln.in_bank = True
-    bank = (
-        ControllerBank([ln.controller for ln in bank_members])
-        if bank_members else None
+    bank, bank_rows_arr, all_banked, bank_observed = _bank_front_end(
+        bank_members, num_lanes
     )
-    bank_rows_arr = np.array([ln.row for ln in bank_members], dtype=np.intp)
-    all_banked = len(bank_members) == num_lanes
+    # Bank lanes whose faults corrupt or drop what the detectors see.
+    sense_lanes = [
+        ln for ln in bank_members
+        if ln.injector is not None
+        and (ln.injector.touches_sensors or ln.injector.touches_timing)
+    ]
 
     # Per-SM voltage readout indices — identical across lanes (same
     # netlist builder); verified against lane 0 at setup.
@@ -801,17 +855,21 @@ def _run_lanes(
         ln for ln in states
         if ln.injector is not None or ln.config.shutoff is not None
     ]
+    next_event_edge = -NO_EDGE
     injector_lanes = [ln for ln in states if ln.injector is not None]
-    # Fast lanes — bank-controlled, never halted — apply actuation only
-    # when a decision pops out of the latency pipeline (decisions are
-    # immutable once enqueued, so nothing can change between pops); the
-    # rest run the per-cycle commands_for path.
-    # (A pre-used controller object that already counted cycles keeps
-    # the per-cycle path: its commands_for skips cycles at or below
-    # _counted_through_cycle, which span accounting cannot see.)
+    scaled_lanes = [ln for ln in injector_lanes if ln.injector.touches_power]
+    # Fast lanes — bank-controlled, never halted, no jitter or actuator
+    # faults — apply actuation only when a decision pops out of the
+    # latency pipeline (nothing can change between pops); the rest run
+    # the per-cycle commands_for path, as does a pre-used controller
+    # whose commands_for skips already-counted cycles.
     fast_lanes = [
         ln for ln in bank_members
         if ln.config.shutoff is None
+        and (ln.injector is None or not (
+            ln.injector.touches_halts or ln.injector.touches_timing
+            or ln.injector.touches_actuation
+        ))
         and ln.controller._counted_through_cycle < 0
     ]
     slow_ctrl_lanes = [
@@ -888,14 +946,16 @@ def _run_lanes(
         if timing:
             t0 = perf_counter()
         gpu_batch.step_into(powers_bt)
-        for ln in injector_lanes:
-            ln.injector.apply_circuit_faults(recorded_cycle)
-            powers_bt[ln.row] = ln.injector.scale_powers(
-                recorded_cycle, powers_bt[ln.row]
-            )
-            scales = ln.injector.frequency_scales(recorded_cycle)
-            if scales is not None:
-                ln.gpu.set_frequency_scales(scales)
+        at_edge = recorded_cycle >= next_event_edge
+        if at_edge:
+            for ln in injector_lanes:
+                if recorded_cycle >= ln.next_edge:
+                    ln.injector.apply_circuit_faults(recorded_cycle)
+                    scales = ln.injector.frequency_scales(recorded_cycle)
+                    if scales is not None:
+                        ln.gpu.set_frequency_scales(scales)
+        for ln in scaled_lanes:
+            ln.injector.scale_powers(recorded_cycle, powers_bt[ln.row])
         if timing:
             t1 = perf_counter()
             t_gpu += t1 - t0
@@ -950,17 +1010,22 @@ def _run_lanes(
                         # Its controller ran commands_for through the
                         # previous cycle; close the open span there.
                         _settle_throttle_span(ln, cycle)
+                    if ln.injector is not None and cycle:
+                        # Halted SMs are counted through that cycle too.
+                        ln.injector.halted_sms(recorded_cycle - 1)
                     ln.divergence = {
                         **failures[row].forensics(),
                         "lane": ln.index, "benchmark": ln.name,
                     }
                     if tele is not None:
                         tele.event("lane_quarantined", **ln.divergence)
-                (survivors, event_lanes, injector_lanes, fast_lanes,
-                 slow_ctrl_lanes, flight_lanes) = (
+                (survivors, event_lanes, injector_lanes, scaled_lanes,
+                 fast_lanes, slow_ctrl_lanes, flight_lanes, bank_members,
+                 sense_lanes) = (
                     [ln for ln in group if not ln.dead]
                     for group in (alive, event_lanes, injector_lanes,
-                                  fast_lanes, slow_ctrl_lanes, flight_lanes)
+                                  scaled_lanes, fast_lanes, slow_ctrl_lanes,
+                                  flight_lanes, bank_members, sense_lanes)
                 )
                 if not survivors:
                     alive = []
@@ -990,20 +1055,11 @@ def _run_lanes(
                     batch_solver, guards=[ln.guard for ln in survivors]
                 )
                 gpu_batch = GPUBatch([ln.gpu for ln in survivors])
-                if bank is not None:
-                    keep = [
-                        j for j, bln in enumerate(bank_members)
-                        if not bln.dead
-                    ]
-                    if not keep:
-                        bank = None
-                    elif len(keep) != len(bank_members):
-                        bank = bank.compact(keep)
-                    bank_members = [bank_members[j] for j in keep]
-                    bank_rows_arr = np.array(
-                        [bln.row for bln in bank_members], dtype=np.intp
-                    )
-                all_banked = len(bank_members) == len(survivors)
+                # The rebuilt bank re-homes the survivors' filter rows;
+                # their controllers carry over untouched.
+                bank, bank_rows_arr, all_banked, bank_observed = (
+                    _bank_front_end(bank_members, len(survivors))
+                )
                 powers_bt = powers_bt[old_rows]
                 dcc_bt = dcc_bt[old_rows]
                 dcc_applied = dcc_applied[old_rows]
@@ -1024,40 +1080,39 @@ def _run_lanes(
             t2 = perf_counter()
             t_circuit += t2 - t1
 
-        # Halted SMs per lane (shutoff events + fault-scheduled halts)
-        # must not block the kernel-launch barrier.
-        for ln in event_lanes:
-            halted: set = set()
-            shutoff = ln.config.shutoff
-            if shutoff is not None and shutoff.active(recorded_cycle):
-                halted.update(ln.shutoff_sms)
-            if ln.injector is not None:
-                halted.update(ln.injector.halted_sms(recorded_cycle))
-            ln.gpu.barrier_exempt = halted
-            ln.halted_idx = sorted(halted)
-            halted_sig = tuple(ln.halted_idx)
-            if ln.controller is None and (
-                ln.applied_decision is None or halted_sig != ln.applied_halted
-            ):
-                # No controller: full issue width except halted SMs.
-                widths = np.full(num, 2.0)
-                widths[ln.halted_idx] = 0.0
-                ln.gpu.set_issue_widths(widths)
-                ln.applied_decision = widths
-                ln.applied_halted = halted_sig
+        # Halted SMs and active fault kinds change only at event edges.
+        if at_edge:
+            for ln in event_lanes:
+                if recorded_cycle >= ln.next_edge:
+                    ln.update_halted(recorded_cycle, num)
+            next_event_edge = min(
+                (ln.next_edge for ln in event_lanes), default=NO_EDGE
+            )
 
         # 4. Detection + control (commands apply after the loop
-        # latency).  Bank lanes advance their RC filters and decision
-        # waves batched; the rest call observe/commands_for per lane.
-        # Actuation application is gated on decision identity (setters
-        # are idempotent; decisions are immutable once enqueued),
-        # except under actuation-distorting faults which may perturb
-        # every cycle.  Decision arrays belong to the controller: any
-        # value the loop mutates (halted widths) or retains (DCC) is a
-        # copy.
+        # latency): one bank call, after fault lanes stage what their
+        # detectors see (a corrupted copy, or no observation at all);
+        # duck-typed controllers observe per lane.  Each injector draws
+        # from its own RNG in the serial order (corrupt, allowed, extra
+        # latency), so lane interleaving cannot change any bits.
+        # Actuation is gated on decision identity (setters are
+        # idempotent, decisions immutable once enqueued) except under
+        # actuation-distorting faults; values the loop mutates (halted
+        # widths) or retains (DCC) are copies.
         if bank is not None:
-            bank.observe(cycle, voltages_bt if all_banked
-                         else voltages_bt[bank_rows_arr])
+            seen = (voltages_bt if all_banked and not sense_lanes
+                    else voltages_bt[bank_rows_arr])
+            for ln in sense_lanes:
+                injector, slot = ln.injector, ln.bank_slot
+                if injector.touches_sensors:
+                    seen[slot] = injector.corrupt_sensors(
+                        recorded_cycle, seen[slot]
+                    )
+                if injector.touches_timing:
+                    bank_observed[slot] = injector.observation_allowed(
+                        recorded_cycle
+                    )
+            bank.observe(cycle, seen, bank_observed)
         for ln in fast_lanes:
             controller = ln.controller
             pipeline = controller._pipeline
@@ -1083,30 +1138,27 @@ def _run_lanes(
                 ln.actuate(controller.active_decision, dcc_bt[ln.row])
         for ln in slow_ctrl_lanes:
             controller = ln.controller
-            if ln.in_bank:
-                decision = controller.commands_for(cycle)
-            elif ln.injector is None:
-                controller.observe(cycle, voltages_bt[ln.row])
+            injector = ln.injector
+            if not ln.in_bank:
+                seen = voltages_bt[ln.row]
+                if injector is not None:
+                    seen = injector.corrupt_sensors(recorded_cycle, seen)
+                if injector is None or injector.observation_allowed(
+                    recorded_cycle
+                ):
+                    controller.observe(cycle, seen)
+            if injector is None or not injector.touches_timing:
                 decision = controller.commands_for(cycle)
             else:
-                # Architecture faults: the detectors see a corrupted
-                # copy of the voltages (or nothing this cycle), and
-                # jitter delays which enqueued decision is read.
-                seen = ln.injector.corrupt_sensors(
-                    recorded_cycle, voltages_bt[ln.row]
-                )
-                if ln.injector.observation_allowed(recorded_cycle):
-                    controller.observe(cycle, seen)
                 decision = controller.commands_for(
-                    cycle - ln.injector.extra_latency(recorded_cycle)
+                    cycle - injector.extra_latency(recorded_cycle)
                 )
             ln.last_decision = decision
-            distort = ln.injector is not None and ln.injector.touches_actuation
-            halted_sig = tuple(ln.halted_idx)
+            distort = injector is not None and injector.touches_actuation
             if (
                 distort
                 or decision is not ln.applied_decision
-                or halted_sig != ln.applied_halted
+                or ln.halted_idx != ln.applied_halted
             ):
                 widths = decision.issue_widths.copy()
                 fakes = decision.fake_rates
@@ -1114,7 +1166,7 @@ def _run_lanes(
                 if distort:
                     fakes = fakes.copy()
                     dcc = dcc.copy()
-                    ln.injector.distort_actuation(
+                    injector.distort_actuation(
                         recorded_cycle, widths, fakes, dcc
                     )
                 if ln.halted_idx:
@@ -1123,7 +1175,7 @@ def _run_lanes(
                 ln.gpu.set_fake_rates(fakes)
                 np.copyto(dcc_bt[ln.row], dcc)
                 ln.applied_decision = decision
-                ln.applied_halted = halted_sig
+                ln.applied_halted = ln.halted_idx
         if timing:
             t3 = perf_counter()
             t_controller += t3 - t2
@@ -1132,9 +1184,7 @@ def _run_lanes(
             for ln in flight_lanes:
                 ln.flight_meta.append((
                     ln.last_decision,
-                    ln.injector.active_kinds(recorded_cycle)
-                    if ln.injector is not None
-                    else None,
+                    ln.fault_kinds,
                     ln.controller.in_safe_state if ln.flight_safe else False,
                 ))
             staged += 1
@@ -1165,9 +1215,12 @@ def _run_lanes(
     if staged:
         _flush_flights(flight_lanes, flight_stage, staged)
     # Settle the remaining event-driven throttle spans so lane
-    # controllers end bit-equal to a per-cycle commands_for run.
+    # controllers end bit-equal to a per-cycle commands_for run, and
+    # count halted SMs through the last cycle.
     for ln in fast_lanes:
         _settle_throttle_span(ln, total_cycles)
+    for ln in injector_lanes:
+        ln.injector.halted_sms(cycles - 1)
     if timing:
         # Attribute the loop's residual (iteration overhead, warmup
         # bookkeeping, the timing reads themselves) to its own stage so

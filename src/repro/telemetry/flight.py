@@ -86,28 +86,31 @@ class FlightDump:
         volts = volts[:n]
         meta = self.meta[:n]
         off = self.cycle_offset
-        # Consecutive cycles usually share one immutable decision object:
-        # dedup by identity into an actuation table + per-cycle ids.
+        # Consecutive cycles usually hold the same commands: dedup by
+        # value (the bytes of the three command arrays) into an
+        # actuation table + per-cycle ids, so the table depends only on
+        # the commands, not on which decision objects carried them.
         actuations: List[Dict[str, object]] = []
         actuation_ids: List[Optional[int]] = []
-        seen: Dict[int, int] = {}
+        seen: Dict[tuple, int] = {}
         for decision, _, _ in meta:
             if decision is None:
                 actuation_ids.append(None)
                 continue
-            key = id(decision)
+            arrays = (
+                np.asarray(decision.issue_widths),
+                np.asarray(decision.fake_rates),
+                np.asarray(decision.dcc_powers_w),
+            )
+            key = tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
             idx = seen.get(key)
             if idx is None:
                 idx = len(actuations)
                 seen[key] = idx
                 actuations.append({
-                    "issue_widths": np.asarray(
-                        decision.issue_widths
-                    ).tolist(),
-                    "fake_rates": np.asarray(decision.fake_rates).tolist(),
-                    "dcc_powers_w": np.asarray(
-                        decision.dcc_powers_w
-                    ).tolist(),
+                    "issue_widths": arrays[0].tolist(),
+                    "fake_rates": arrays[1].tolist(),
+                    "dcc_powers_w": arrays[2].tolist(),
                 })
             actuation_ids.append(idx)
         return {

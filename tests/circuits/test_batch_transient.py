@@ -114,3 +114,36 @@ class TestBatchValidation:
         batch = BatchTransientSolver([solver], shared_current_base=currents)
         with pytest.raises(KeyError, match="nope"):
             batch.vsource_currents("nope")
+
+
+class TestBatchLifetime:
+    """The batch and its lanes are freed by reference counting."""
+
+    def test_no_reference_cycle_between_batch_and_lanes(self):
+        import gc
+        import weakref
+
+        currents = np.zeros((2, NUM_SMS))
+        solvers = [_make_lane(currents[i])[1] for i in range(2)]
+        for s in solvers:
+            s.initialize_dc()
+        batch = BatchTransientSolver(solvers, shared_current_base=currents)
+        batch.step_n(2)
+        refs = [weakref.ref(batch)] + [weakref.ref(s) for s in solvers]
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del batch, solvers, s
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_refactor_after_the_batch_is_gone(self):
+        currents = np.zeros((1, NUM_SMS))
+        _, solver = _make_lane(currents[0])
+        solver.initialize_dc()
+        batch = BatchTransientSolver([solver], shared_current_base=currents)
+        del batch
+        solver.refactor()  # the dead owner is simply skipped
+        solver.step()

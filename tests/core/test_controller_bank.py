@@ -1,14 +1,17 @@
 """Bit-identity contract of the batched controller front end.
 
-``ControllerBank.observe(cycle, voltages)`` must leave every lane's
-observable state byte-equal to serial per-lane ``observe`` calls — for
-uniform and mixed control periods (the fast and generic wave paths),
-through quiet stretches (the idle-wave shortcut re-enqueues the same
-decision object), droop storms, NaN sensor dropouts and the watchdog.
+``ControllerBank.observe(cycle, voltages, observed)`` must leave every
+lane's observable state byte-equal to serial per-lane ``observe`` calls
+(skipped where ``observed`` is False) — for uniform and mixed control
+periods (the fast and generic wave paths), through quiet stretches (the
+idle-wave shortcut re-enqueues the same decision object), droop storms,
+NaN sensor dropouts with the fallback on or off, dropped observations
+and the watchdog.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import StackConfig
 from repro.core.actuators import WeightedActuation
@@ -130,6 +133,99 @@ class TestIdleWaveShortcut:
             db = banked.commands_for(cycle)
             assert np.array_equal(ds.issue_widths, db.issue_widths), cycle
         _assert_lane_states_equal(serial, banked)
+
+
+def _assert_full_state_equal(serial, banked):
+    """Everything observe can touch: stats, filters, pipeline, cadence."""
+    _assert_lane_states_equal(serial, banked)
+    for name in ("_last_good", "_fallback_active"):
+        assert np.array_equal(
+            getattr(serial, name), np.asarray(getattr(banked, name))
+        ), name
+    for name in ("_last_decision_cycle", "in_safe_state",
+                 "_subguard_streak", "_healthy_streak", "_flap_flips"):
+        assert getattr(serial, name) == getattr(banked, name), name
+    assert len(serial._pipeline) == len(banked._pipeline)
+    for (ts, ds), (tb, db) in zip(serial._pipeline, banked._pipeline):
+        assert ts == tb
+        for field in ("issue_widths", "fake_rates", "dcc_powers_w"):
+            assert np.array_equal(getattr(ds, field), getattr(db, field))
+        assert list(ds.triggered_sms) == list(db.triggered_sms)
+
+
+class TestMaskedObserve:
+    """Dropouts and dropped observations stay on the banked paths."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        periods=st.lists(st.sampled_from([3, 4, 4, 6]), min_size=1,
+                         max_size=4),
+        fallback=st.lists(st.booleans(), min_size=4, max_size=4),
+        nan_rate=st.sampled_from([0.0, 0.05, 0.3]),
+        lane_loss=st.sampled_from([0.0, 0.05]),
+        drop_rate=st.sampled_from([0.0, 0.1, 0.5]),
+    )
+    def test_matches_per_lane_observe(
+        self, seed, periods, fallback, nan_rate, lane_loss, drop_rate
+    ):
+        configs = [
+            ControllerConfig(
+                control_period_cycles=p,
+                sensor_fallback_enabled=fallback[i],
+                watchdog_enabled=i % 2 == 0, watchdog_patience=3,
+                safe_state_release_decisions=6,
+            )
+            for i, p in enumerate(periods)
+        ]
+        rng = np.random.default_rng(seed)
+        cycles = 240
+        lanes = len(configs)
+        v = 1.0 + 0.002 * rng.standard_normal((cycles, lanes, NUM_SMS))
+        v[60:80] -= rng.uniform(0.0, 0.3, size=(lanes, NUM_SMS))
+        v[120:130] += rng.uniform(0.0, 0.25, size=(lanes, NUM_SMS))
+        v[rng.random(v.shape) < nan_rate] = np.nan
+        v[rng.random((cycles, lanes)) < lane_loss] = np.nan  # whole lane
+        observed = rng.random((cycles, lanes)) >= drop_rate
+        serial = [_make_lane(c) for c in configs]
+        banked = [_make_lane(c) for c in configs]
+        bank = ControllerBank(banked)
+        for cycle in range(cycles):
+            for i, c in enumerate(serial):
+                if observed[cycle, i]:
+                    c.observe(cycle, v[cycle, i])
+            bank.observe(cycle, v[cycle], observed[cycle])
+            for i, (s, b) in enumerate(zip(serial, banked)):
+                ds, db = s.commands_for(cycle), b.commands_for(cycle)
+                assert np.array_equal(ds.issue_widths, db.issue_widths), (
+                    f"lane {i} cycle {cycle}"
+                )
+                assert np.array_equal(ds.fake_rates, db.fake_rates)
+                assert np.array_equal(ds.dcc_powers_w, db.dcc_powers_w)
+        for s, b in zip(serial, banked):
+            _assert_full_state_equal(s, b)
+
+    def test_dropped_due_observation_desyncs_a_uniform_bank(self):
+        """A lane that misses its due cycle decides on its next one."""
+        configs = [ControllerConfig(), ControllerConfig(k1=0.5)]
+        serial = [_make_lane(c) for c in configs]
+        banked = [_make_lane(c) for c in configs]
+        bank = ControllerBank(banked)
+        v = np.full((2, NUM_SMS), 0.85)  # triggered every wave
+        for cycle in range(40):
+            observed = np.array([True, cycle not in (4, 5, 13)])
+            for i, c in enumerate(serial):
+                if observed[i]:
+                    c.observe(cycle, v[i])
+            bank.observe(cycle, v, observed)
+        for s, b in zip(serial, banked):
+            _assert_full_state_equal(s, b)
+        assert serial[1]._last_decision_cycle != serial[0]._last_decision_cycle
+
+    def test_observed_mask_shape_validated(self):
+        bank = ControllerBank([_make_lane(ControllerConfig())])
+        with pytest.raises(ValueError, match="observed mask"):
+            bank.observe(0, np.ones((1, NUM_SMS)), np.ones(2, dtype=bool))
 
 
 class TestBankValidation:

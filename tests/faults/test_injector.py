@@ -18,6 +18,7 @@ from repro.faults import (
     SensorNoise,
     SensorStuck,
 )
+from repro.faults.injector import NO_EDGE
 
 STACK = StackConfig()
 
@@ -178,3 +179,58 @@ class TestReport:
         }
         assert all("description" in e for e in report["events"])
         assert "counters" in report
+
+
+class TestEdgeCache:
+    """Edge-driven hooks recompute only at window edges, exactly."""
+
+    EVENTS = (
+        LayerShutoff(layer=3, start_cycle=20, end_cycle=70),
+        PowerGateTransient(sms=(0, 12), start_cycle=50, end_cycle=90),
+        PowerGateTransient(sms=(12,), start_cycle=-5, end_cycle=30),
+        DFSTransient(frequency_scale=0.5, sms=(2,), start_cycle=40,
+                     end_cycle=60),
+        SensorNoise(sigma_v=0.01, start_cycle=10, end_cycle=45),
+        ProcessVariation(sigma=0.1, start_cycle=25, end_cycle=80),
+    )
+
+    def test_next_edge_lists_every_window_edge(self):
+        injector = make_injector(*self.EVENTS)
+        edges = sorted({e.start_cycle for e in self.EVENTS}
+                       | {e.end_cycle for e in self.EVENTS})
+        walked, cycle = [], -100
+        while True:
+            cycle = injector.next_edge(cycle)
+            if cycle == NO_EDGE:
+                break
+            walked.append(cycle)
+        assert walked == edges
+
+    def test_hooks_match_direct_evaluation(self):
+        injector = make_injector(*self.EVENTS)
+        for cycle in list(range(-10, 100)) + [57, 3, 99, 20]:
+            kinds = tuple(e.kind for e in self.EVENTS if e.active(cycle))
+            assert injector.active_kinds(cycle) == kinds, cycle
+            halted = set()
+            for e in self.EVENTS[:3]:
+                if e.active(cycle):
+                    halted.update(
+                        STACK.sms_in_layer(e.layer)
+                        if isinstance(e, LayerShutoff) else e.sms
+                    )
+            assert injector.halted_sms(cycle) == halted, cycle
+
+    def test_halted_counted_per_cycle_when_called_at_edges(self):
+        per_cycle = make_injector(*self.EVENTS)
+        at_edges = make_injector(*self.EVENTS)
+        start, last = -10, 120
+        for cycle in range(start, last + 1):
+            per_cycle.halted_sms(cycle)
+        cycle = start
+        while cycle <= last:
+            at_edges.halted_sms(cycle)
+            cycle = at_edges.next_edge(cycle)
+        at_edges.halted_sms(last)  # settle the tail
+        at_edges.halted_sms(last)  # a repeat call counts nothing
+        assert (at_edges.counters["halted_sm_cycles"]
+                == per_cycle.counters["halted_sm_cycles"] > 0)

@@ -3,13 +3,15 @@
 ``GPU.step_into(out)`` must be bit-identical to ``out[:] = gpu.step()``
 — including around barrier-exempt changes, which exercise the lazy
 exempt-mask refresh — and ``GPUBatch`` must keep B independent lanes
-byte-equal to B serial GPUs.
+byte-equal to B serial GPUs, also while some lanes carry barrier-exempt
+(halted) SMs on the fused compiled step.
 """
 
 import numpy as np
 import pytest
 
 from repro.gpu import GPU, KernelSpec
+from repro.gpu._cbuild import load_engine_lib
 from repro.gpu.batch import GPUBatch
 
 
@@ -76,3 +78,46 @@ class TestGPUBatch:
         assert len(batch) == 2
         assert batch[1] is gpus[1]
         assert list(batch) == gpus
+
+
+class TestFusedBarrierExempt:
+    """Lanes with changing barrier-exempt sets stay on the fused step."""
+
+    # cycle -> {lane: exempt set}; overlapping, changing and cleared sets.
+    SCHEDULE = {
+        100: {0: set(range(12))},
+        300: {1: {12, 13}},
+        500: {0: set(), 2: set(range(8))},
+        700: {1: {12, 13, 14}, 0: set(range(4, 16))},
+        900: {2: {5}},
+        1100: {1: set(), 2: set()},
+    }
+
+    @pytest.mark.skipif(load_engine_lib() is None,
+                        reason="compiled GPU engine unavailable")
+    def test_exempt_lanes_match_lone_gpus(self):
+        seeds = [2, 4, 6]
+        # Short kernels: several launch barriers in the window.
+        lone = [_gpu(s, body=20) for s in seeds]
+        gpus = [_gpu(s, body=20) for s in seeds]
+        batch = GPUBatch(gpus)
+        plain = _gpu(seeds[0], body=20)  # lane 0 without exemptions
+        out = np.empty((len(seeds), batch.num_sms))
+        for cycle in range(1400):
+            for lane, exempt in self.SCHEDULE.get(cycle, {}).items():
+                lone[lane].barrier_exempt = set(exempt)
+                gpus[lane].barrier_exempt = set(exempt)
+            batch.step_into(out)
+            plain.step()
+            for i, gpu in enumerate(lone):
+                assert np.array_equal(out[i], gpu.step()), (i, cycle)
+        assert batch._fused is not None  # never left the fused call
+        for a, b in zip(lone, gpus):
+            assert a.kernel_launch_cycles == b.kernel_launch_cycles
+            assert a.kernels_launched == b.kernels_launched
+            ma, mb = a.engine.memory, b.engine.memory
+            assert ma.requests_served == mb.requests_served
+            assert ma.misses == mb.misses
+            assert ma._next_service_slot == mb._next_service_slot
+        # The exemptions really moved lane 0's launch barrier.
+        assert lone[0].kernel_launch_cycles != plain.kernel_launch_cycles

@@ -18,14 +18,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import pde_loss_ledger
+from repro.circuits._solverc import BACKEND_ENV
 from repro.core.controller import ControlDecision, ControllerConfig
+from repro.core.prior_art import GlobalThrottleController
 from repro.faults.scenarios import CANNED_SCENARIOS
 from repro.sim.cosim import (
     CosimConfig,
     CosimLane,
+    LayerShutoffEvent,
     run_cosim,
     run_cosim_batch,
 )
+from repro.telemetry.flight import FlightRecorder
 from tests.oracles.serial_cosim import run_serial_cosim
 
 CYCLES = 260
@@ -141,7 +145,7 @@ class TestRandomizedBatchEquivalence:
 
 
 class TestCannedFaultBatch:
-    @pytest.mark.parametrize("scenario", ["guardband-breaker", "sensor-storm"])
+    @pytest.mark.parametrize("scenario", list(CANNED_SCENARIOS))
     def test_fault_lane_batches_bit_identically(self, scenario):
         cyc, wu = 700, 80
         _check_batch([
@@ -152,6 +156,62 @@ class TestCannedFaultBatch:
             CosimLane("bfs", CosimConfig(
                 cycles=cyc, warmup_cycles=wu, use_controller=False)),
         ])
+
+
+def _mixed_lanes(cycles, warmup):
+    """Every canned scenario beside clean, shutoff, controller-less and
+    duck-typed lanes: one batch that desynchronises the controller bank
+    (jitter drops), halts SMs on the fused GPU step and corrupts
+    sensors.  Built per call, so duck-typed controllers start fresh."""
+    def config(seed, **kwargs):
+        return CosimConfig(cycles=cycles, warmup_cycles=warmup, seed=seed,
+                           **kwargs)
+
+    lanes = [
+        CosimLane(bench, config(10 + i, faults=factory(seed=20 + i)))
+        for i, (bench, factory) in enumerate(zip(
+            ("hotspot", "bfs", "backprop", "srad"),
+            CANNED_SCENARIOS.values(),
+        ))
+    ]
+    return lanes + [
+        CosimLane("pathfinder", config(31)),
+        CosimLane("heartwall", config(32, shutoff=LayerShutoffEvent(
+            layer=3, start_cycle=150, end_cycle=500))),
+        CosimLane("bfs", config(
+            33, use_controller=False,
+            faults=CANNED_SCENARIOS["guardband-breaker"](seed=34))),
+        CosimLane("hotspot", config(
+            35, controller_object=GlobalThrottleController(),
+            faults=CANNED_SCENARIOS["scheduler-storm"](seed=36))),
+    ]
+
+
+class TestMixedFaultBatch:
+    """Fault lanes ride the banked paths bit-identically to the oracle."""
+
+    @pytest.mark.parametrize("backend", ["c", "numpy"])
+    def test_mixed_batch_matches_oracle(self, backend, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV, backend)
+        cyc, wu = 900, 80
+
+        def recorder():
+            return FlightRecorder(num_sms=16, guardband_v=0.8,
+                                  cycle_offset=-wu)
+
+        lanes = _mixed_lanes(cyc, wu)
+        batch = run_cosim_batch(lanes, flights=[recorder() for _ in lanes])
+        for i, (lane, result) in enumerate(zip(_mixed_lanes(cyc, wu), batch)):
+            label = f"lane {i} ({lane.benchmark})"
+            serial = run_serial_cosim(
+                lane.benchmark, config=lane.config, flight=recorder()
+            )
+            _assert_result_equal(result, serial, label=label)
+            assert result.flight.summary() == serial.flight.summary(), label
+            assert [d.to_dict() for d in result.flight.dumps] == [
+                d.to_dict() for d in serial.flight.dumps
+            ], label
+        assert any(r.flight.dumps for r in batch)
 
 
 class TestBatchStageSplit:

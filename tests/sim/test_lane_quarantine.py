@@ -43,22 +43,6 @@ def poison(at, lane=None):
     return ChaosEvent("cosim_cycle", "nan_poison", at=at, lane=lane, once=False)
 
 
-def _per_cycle(dump):
-    """A flight dump with its actuation table expanded per cycle.
-
-    The controller bank re-enqueues an idle wave's decision object where
-    the per-object controller builds an equal new one, so actuation
-    tables (deduplicated by identity) may group cycles differently;
-    the per-cycle actuation values must agree.
-    """
-    d = dump.to_dict()
-    table = d.pop("actuations")
-    d["actuation"] = [
-        None if i is None else table[i] for i in d.pop("actuation_id")
-    ]
-    return d
-
-
 class TestEviction:
     def test_poisoned_lane_is_quarantined_survivors_bit_identical(
         self, chaos_plan
@@ -169,6 +153,32 @@ class TestDeadLaneAccounting:
         assert prefix.throttled_cycles > 0
         assert dead.throttled_cycles == prefix.throttled_cycles
 
+    def test_dead_lane_fault_counters_match_serial_prefix(self, chaos_plan):
+        """Halted SMs are counted at window edges; an evicted lane must
+        still count every cycle before its divergence, like a serial run
+        that many cycles long."""
+        from dataclasses import replace
+
+        from repro.faults import (
+            FaultSchedule,
+            LayerShutoff,
+            PowerGateTransient,
+        )
+
+        schedule = FaultSchedule(name="halts", seed=4, events=(
+            PowerGateTransient(sms=(0, 1), start_cycle=20, end_cycle=150),
+            LayerShutoff(layer=3, start_cycle=100),
+        ))
+        config = cfg(3, faults=schedule)
+        lanes = [CosimLane("hotspot", config), CosimLane("bfs", cfg(5))]
+        chaos_plan(ChaosPlan("halts", [poison(at=110, lane=0)]))
+        dead = run_cosim_batch(lanes)[0]
+        prefix = run_serial_cosim("hotspot", replace(config, cycles=110))
+        assert dead.diverged and dead.num_cycles == 110
+        counters = dead.fault_report["counters"]
+        assert counters["halted_sm_cycles"] > 0
+        assert counters == prefix.fault_report["counters"]
+
     def test_flight_recorders_ride_through_eviction(self, chaos_plan):
         """Staged flight samples flush before compaction: the dead lane
         keeps every cycle before its divergence, survivors match the
@@ -192,8 +202,8 @@ class TestDeadLaneAccounting:
         for row in (0, 2):
             b, s = batch[row].flight, serial[row].flight
             assert b.summary() == s.summary()
-            assert [_per_cycle(d) for d in b.dumps] == [
-                _per_cycle(d) for d in s.dumps
+            assert [d.to_dict() for d in b.dumps] == [
+                d.to_dict() for d in s.dumps
             ]
 
     def test_run_cosim_honours_lane_zero_poison(self, chaos_plan):

@@ -253,26 +253,34 @@ class TestObserveBlock:
 
 
 class TestActuationTable:
-    def test_shared_decision_deduped_by_identity(self):
+    def test_equal_decisions_deduped_by_value(self):
         class Decision:
-            issue_widths = [4, 4]
-            fake_rates = [0.0, 0.0]
-            dcc_powers_w = [0.0, 0.0]
+            def __init__(self, width):
+                self.issue_widths = np.array([width, 2.0])
+                self.fake_rates = np.zeros(2)
+                self.dcc_powers_w = np.zeros(2)
 
-        shared = Decision()
-        other = Decision()
         rec = FlightRecorder(2, GUARD, pre_cycles=4, post_cycles=4,
                              scan_interval=4)
         mins = dipped(40, [20])
         for c, v in enumerate(mins):
+            # A fresh object every cycle; the values change only at 22.
             rec.observe(
                 np.array([v, v + 0.05]),
-                decision=shared if c < 22 else other,
+                decision=Decision(2.0 if c < 22 else 1.5),
             )
         rec.finalize()
         dump = rec.dumps[0].to_dict()
-        assert len(dump["actuations"]) == 2
-        assert dump["actuation_id"][:2] == [0, 0]  # same object, one id
+        assert dump["actuations"] == [
+            {"issue_widths": [2.0, 2.0], "fake_rates": [0.0, 0.0],
+             "dcc_powers_w": [0.0, 0.0]},
+            {"issue_widths": [1.5, 2.0], "fake_rates": [0.0, 0.0],
+             "dcc_powers_w": [0.0, 0.0]},
+        ]
+        cycles = dump["cycles"]
+        assert dump["actuation_id"] == [
+            0 if c < 22 else 1 for c in cycles
+        ]
 
     def test_no_decision_records_none(self):
         rec = FlightRecorder(2, GUARD, pre_cycles=2, post_cycles=2,
