@@ -72,6 +72,8 @@ class CEngineState(ctypes.Structure):
         ("outstanding", _PTR),
         ("warp_done", _PTR),
         ("ready_at", _PTR),
+        ("head_ready", _PTR),
+        ("heads_valid", _I64),
         ("last_warp", _PTR),
         ("heap", _PTR),
         ("heap_len", _PTR),
@@ -89,6 +91,7 @@ class CEngineState(ctypes.Structure):
         ("s_src2_col", _PTR),
         ("miss_table", _PTR),
         ("powers", _PTR),
+        ("ndone", _PTR),
     ]
 
 
@@ -99,7 +102,6 @@ def _configure(lib: ctypes.CDLL) -> None:
         ctypes.POINTER(ctypes.POINTER(CEngineState)),
         _I64,
         _I64,
-        _PTR,
     ]
     lib.engine_step_batch.restype = _I64
 

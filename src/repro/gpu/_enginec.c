@@ -21,8 +21,14 @@
  * Scoreboards are the engine's (sms, warps, 17) ready-at table with
  * sentinels RA_NEVER (never written -> always ready) and RA_PENDING
  * (load in flight -> never ready); readiness is max(cols) <= cycle.
- * Pending loads live in per-SM binary heaps of packed
- * (completion << 24 | warp << 8 | reg) keys — packed-integer order
+ * That max over the head instruction's dest/src1/src2 columns is cached
+ * per warp in head_ready (RA_PENDING for a finished warp) and refreshed
+ * only when the warp issues or one of its loads completes; a fresh
+ * struct (heads_valid == 0, i.e. a kernel launch or a rebuilt struct)
+ * recomputes every entry on its first step.
+ *
+ * Pending loads live in per-SM binary heaps (interleaved across SMs) of
+ * packed (completion << 24 | warp << 8 | reg) keys — packed-integer order
  * equals the reference's (completion, warp, reg) tuple order, so pop
  * order is identical, and stale entries survive kernel relaunch with
  * reference semantics (release-if-pending, unconditional outstanding
@@ -84,8 +90,12 @@ typedef struct {
     i64 *outstanding;
     u8 *warp_done;
     i64 *ready_at;
+    i64 *head_ready; /* (S,W) cached head readiness */
+    i64 heads_valid; /* 0 on a fresh struct: rebuild head_ready */
     i64 *last_warp; /* (S,) */
-    /* pending-load heaps, (S,cap) packed */
+    /* pending-load heaps of packed keys, (cap,S): SM s's entry i at
+     * heap[i * S + s], so every SM's heap top shares one cache line
+     * and page instead of one page per SM */
     i64 *heap;
     i64 *heap_len;
     /* shared memory system: [0] next service slot; counters
@@ -106,21 +116,32 @@ typedef struct {
     u8 *miss_table; /* (W,max_pc) */
     /* output */
     double *powers; /* (S,) */
+    i64 *ndone;     /* [0]: kernel-done SMs at end of the last step */
 } EngineState;
 
-static inline int warp_ready(const EngineState *st, i64 s, i64 w, i64 cycle) {
+/* Cycle from which warp w's head instruction is ready: the max of its
+ * dest/src1/src2 ready-at columns, or RA_PENDING once the warp is done
+ * (peek() is None). */
+static inline void refresh_head(EngineState *st, i64 s, i64 w) {
     i64 sw = s * st->num_warps + w;
     i64 p = st->pc[sw];
-    if (p >= st->length[sw])
-        return 0; /* done: peek() is None */
+    if (p >= st->length[sw]) {
+        st->head_ready[sw] = RA_PENDING;
+        return;
+    }
     i64 e = p >= st->body ? p - st->body : p;
     i64 pos = w * st->body + e;
     const i64 *ra = st->ready_at + sw * 17;
-    if (ra[st->s_dest_col[pos]] > cycle)
-        return 0;
-    if (ra[st->s_src1_col[pos]] > cycle)
-        return 0;
-    return ra[st->s_src2_col[pos]] <= cycle;
+    i64 r = ra[st->s_dest_col[pos]];
+    i64 r1 = ra[st->s_src1_col[pos]];
+    i64 r2 = ra[st->s_src2_col[pos]];
+    if (r1 > r)
+        r = r1;
+    st->head_ready[sw] = r2 > r ? r2 : r;
+}
+
+static inline int warp_ready(const EngineState *st, i64 s, i64 w, i64 cycle) {
+    return st->head_ready[s * st->num_warps + w] <= cycle;
 }
 
 static inline int unit_avail(const EngineState *st, i64 s, i64 u, i64 cycle) {
@@ -129,24 +150,27 @@ static inline int unit_avail(const EngineState *st, i64 s, i64 u, i64 cycle) {
     return st->waking[s * 3 + u] <= cycle;
 }
 
-static void heap_push(i64 *heap, i64 *len, i64 entry) {
+/* Entry i of one SM's heap; SMs' heaps are interleaved (see EngineState). */
+#define H(i) heap[(i) * stride]
+
+static void heap_push(i64 *heap, i64 stride, i64 *len, i64 entry) {
     i64 i = (*len)++;
-    heap[i] = entry;
+    H(i) = entry;
     while (i > 0) {
         i64 parent = (i - 1) / 2;
-        if (heap[parent] <= heap[i])
+        if (H(parent) <= H(i))
             break;
-        i64 t = heap[parent];
-        heap[parent] = heap[i];
-        heap[i] = t;
+        i64 t = H(parent);
+        H(parent) = H(i);
+        H(i) = t;
         i = parent;
     }
 }
 
-static i64 heap_pop(i64 *heap, i64 *len) {
-    i64 top = heap[0];
+static i64 heap_pop(i64 *heap, i64 stride, i64 *len) {
+    i64 top = H(0);
     i64 n = --(*len);
-    heap[0] = heap[n];
+    H(0) = H(n);
     i64 i = 0;
     for (;;) {
         i64 left = 2 * i + 1;
@@ -154,13 +178,13 @@ static i64 heap_pop(i64 *heap, i64 *len) {
             break;
         i64 small = left;
         i64 right = left + 1;
-        if (right < n && heap[right] < heap[left])
+        if (right < n && H(right) < H(left))
             small = right;
-        if (heap[i] <= heap[small])
+        if (H(i) <= H(small))
             break;
-        i64 t = heap[i];
-        heap[i] = heap[small];
-        heap[small] = t;
+        i64 t = H(i);
+        H(i) = H(small);
+        H(small) = t;
         i = small;
     }
     return top;
@@ -174,11 +198,13 @@ static i64 gto_select(EngineState *st, i64 s, i64 cycle) {
     i64 last = st->last_warp[s];
     if (last >= 0 && warp_ready(st, s, last, cycle))
         return last;
+    const i64 *hr = st->head_ready + s * W;
+    const i64 *pc = st->pc + s * W;
     i64 best = -1, best_pc = 0;
     for (i64 w = 0; w < W; w++) {
-        if (!warp_ready(st, s, w, cycle))
+        if (hr[w] > cycle)
             continue;
-        i64 p = st->pc[s * W + w];
+        i64 p = pc[w];
         if (best < 0 || p < best_pc) {
             best = w;
             best_pc = p;
@@ -190,10 +216,17 @@ static i64 gto_select(EngineState *st, i64 s, i64 cycle) {
 }
 
 /* One nominal clock for every SM.  Returns the number of kernel-done
- * SMs at end of cycle (for the GPU's launch barrier), or -1 if a
- * pending-load heap overflowed. */
+ * SMs at end of cycle (for the GPU's launch barrier, also stored in
+ * *ndone), or -1 if a pending-load heap overflowed. */
 i64 engine_step(EngineState *st, i64 cycle) {
     const i64 S = st->num_sms, W = st->num_warps, body = st->body;
+
+    if (!st->heads_valid) {
+        for (i64 s = 0; s < S; s++)
+            for (i64 w = 0; w < W; w++)
+                refresh_head(st, s, w);
+        st->heads_valid = 1;
+    }
 
     for (i64 s = 0; s < S; s++) {
         st->st_cycles[s]++;
@@ -210,14 +243,17 @@ i64 engine_step(EngineState *st, i64 cycle) {
         st->st_active[s]++;
 
         /* Complete arrived loads (stale relaunch entries included). */
-        i64 *heap = st->heap + s * st->heap_cap;
+        i64 *heap = st->heap + s;
+        const i64 stride = S;
         i64 *hlen = st->heap_len + s;
         while (*hlen > 0 && HEAP_COMP(heap[0]) <= cycle) {
-            i64 entry = heap_pop(heap, hlen);
+            i64 entry = heap_pop(heap, stride, hlen);
             i64 w = HEAP_WARP(entry), reg = HEAP_REG(entry);
             i64 *ra = st->ready_at + (s * W + w) * 17;
-            if (ra[reg] == RA_PENDING)
+            if (ra[reg] == RA_PENDING) {
                 ra[reg] = cycle;
+                refresh_head(st, s, w);
+            }
             st->outstanding[s * W + w]--;
         }
 
@@ -312,12 +348,13 @@ i64 engine_step(EngineState *st, i64 cycle) {
                     st->outstanding[s * W + w]++;
                     if (*hlen >= st->heap_cap)
                         return -1;
-                    heap_push(heap, hlen, HEAP_PACK(comp, w, dest));
+                    heap_push(heap, stride, hlen, HEAP_PACK(comp, w, dest));
                 } else {
                     st->ready_at[(s * W + w) * 17 + dest] =
                         cycle + st->s_latency[spos];
                 }
             }
+            refresh_head(st, s, w);
             iss_span[issued] = st->s_span[spos];
             iss_share[issued] = st->s_share[spos];
             issued++;
@@ -378,23 +415,25 @@ i64 engine_step(EngineState *st, i64 cycle) {
         }
         ndone += done;
     }
+    st->ndone[0] = ndone;
     return ndone;
 }
 
 /* Step a batch of independent engines one nominal clock in a single
  * call — the co-simulator's B-lane hot path.  Each lane is the exact
  * engine_step() above on its own state struct; lanes share nothing, so
- * ordering across lanes cannot affect results.  Per-lane kernel-done
- * censuses land in ndone_out; returns -(lane + 1) on the first lane
- * whose pending-load heap overflows, else 0.
+ * ordering across lanes cannot affect results.  Each lane's kernel-done
+ * census lands in its own *ndone.  Returns -(lane + 1) on the first
+ * lane whose pending-load heap overflows, else the number of lanes
+ * whose every SM is kernel-done (their launch barrier is due).
  */
-i64 engine_step_batch(EngineState **sts, i64 nlanes, i64 cycle,
-                      i64 *ndone_out) {
+i64 engine_step_batch(EngineState **sts, i64 nlanes, i64 cycle) {
+    i64 due = 0;
     for (i64 b = 0; b < nlanes; b++) {
         i64 ndone = engine_step(sts[b], cycle);
         if (ndone < 0)
             return -(b + 1);
-        ndone_out[b] = ndone;
+        due += ndone == sts[b]->num_sms;
     }
-    return 0;
+    return due;
 }

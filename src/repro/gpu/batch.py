@@ -11,11 +11,14 @@ When every lane runs the compiled engine backend, the facade steps all
 lanes through one ``engine_step_batch`` call per cycle instead of B
 ``engine_step`` calls — the per-lane C work is unchanged (lanes share
 nothing, so cross-lane order cannot affect results); only the Python
-and ctypes dispatch around it is amortized.  Lanes with a non-empty
-barrier-exempt set (halted SMs under shutoff or power-gating faults)
-stay on the fused call: only their kernel-launch check differs, and it
-runs the serial exempt-aware test.  A batch with any NumPy-engine lane
-steps every lane through its own ``GPU.step_into``.
+and ctypes dispatch around it is amortized.  The lanes' memory-queue
+state, kernel-done censuses and powers live in shared ``(B, ...)``
+rows that the kernel updates in place, so a step costs no per-lane
+syncing.  Lanes with a non-empty barrier-exempt set (halted SMs under
+shutoff or power-gating faults) stay on the fused call: only their
+kernel-launch check differs, and it runs the serial exempt-aware test.
+A batch with any NumPy-engine lane steps every lane through its own
+``GPU.step_into``.
 """
 
 from __future__ import annotations
@@ -32,48 +35,39 @@ from repro.gpu.gpu import GPU
 class _FusedDispatch:
     """Cached ctypes plumbing for the one-call-per-cycle batch step.
 
-    Re-homes each engine's memory-queue slot, counter pair and power
-    output as rows of shared ``(B, ...)`` arrays (then repoints the C
-    structs), so the per-cycle shuttles run as one vectorized store per
-    direction instead of B NumPy scalar stores.
+    Re-homes each engine's memory-queue slot, served/miss counters,
+    kernel-done census and power output as rows of shared ``(B, ...)``
+    arrays (then repoints the C structs).  The C kernel updates those
+    rows in place, and :class:`MemorySystem` and the engine read through
+    them, so nothing needs syncing back per lane after a step.
     """
 
-    __slots__ = ("lib", "ptrs", "ndone", "engines", "lanes", "slots",
-                 "counters", "powers", "call", "B", "ndone_ptr", "nsms",
-                 "last_ndone")
+    __slots__ = ("ptrs", "powers", "ndone", "call", "B", "nsms", "due")
 
     def __init__(self, lib: ctypes.CDLL, gpus: Sequence[GPU]) -> None:
-        self.lib = lib
         engines = [gpu.engine for gpu in gpus]
-        self.engines = engines
         B = len(engines)
-        self.slots = np.zeros(B)
-        self.counters = np.zeros((B, 2), dtype=np.int64)
+        slots = np.zeros((B, 1))
+        counters = np.zeros((B, 2), dtype=np.int64)
+        self.ndone = np.zeros(B, dtype=np.int64)
         self.powers = np.zeros((B, engines[0].num_sms))
         for i, eng in enumerate(engines):
-            self.slots[i] = eng.memory._next_service_slot
-            self.counters[i] = eng._mem_counters
+            eng.memory.rehome(slots[i], counters[i])
+            self.ndone[i] = eng._ndone[0]
             self.powers[i] = eng._powers_buf
-            eng._mem_slot = self.slots[i : i + 1]
-            eng._mem_counters = self.counters[i]
+            eng._ndone = self.ndone[i : i + 1]
             eng._powers_buf = self.powers[i]
             eng._rebuild_cstate()
         self.ptrs = (ctypes.POINTER(CEngineState) * B)(
             *[eng._cstate_ptr for eng in engines]
         )
-        self.ndone = np.zeros(B, dtype=np.int64)
-        self.lanes = list(zip(gpus, engines, [e.memory for e in engines]))
         # Hot-path prebinds: the per-cycle call crosses ctypes once, so
         # everything constant about it is resolved here, not per cycle.
         self.call = lib.engine_step_batch
         self.B = B
-        self.ndone_ptr = self.ndone.ctypes.data
         self.nsms = engines[0].num_sms
-        # last_ndone mirrors each engine's _c_ndone as plain ints so
-        # the per-cycle launch check reads list slots, not attributes.
-        # Only the fused call steps these engines from here on, so the
-        # mirrors (these ints, the slots rows) stay authoritative.
-        self.last_ndone: list = [eng._c_ndone for eng in engines]
+        # Lanes whose every SM reported done at the last step.
+        self.due = int(np.count_nonzero(self.ndone == self.nsms))
 
 
 class GPUBatch:
@@ -140,52 +134,40 @@ class GPUBatch:
     ) -> np.ndarray:
         """One ``engine_step_batch`` call for the whole lane set.
 
-        Mirrors ``VectorizedGPUEngine._step_c``'s per-lane protocol —
-        launch barrier, memory-queue slot shuttle, counter sync —
-        around a single crossing of the ctypes boundary.  A lane with
+        Mirrors ``VectorizedGPUEngine._step_c``'s launch barrier around
+        a single crossing of the ctypes boundary.  A lane with
         barrier-exempt SMs launches when every SM is done or exempt
         (``_step_c``'s exempt test); every other lane when all its SMs
-        reported done.
+        reported done.  After the call only the lane clocks advance.
         """
-        lanes = fused.lanes
-        ptrs = fused.ptrs
+        gpus = self.gpus
+        ndone = fused.ndone
         nsms = fused.nsms
-        last = fused.last_ndone
-        launch = [i for i, nd in enumerate(last) if nd == nsms]
-        for i, gpu in enumerate(self.gpus):
+        launch = np.flatnonzero(ndone == nsms).tolist() if fused.due else []
+        for i, gpu in enumerate(gpus):
             exempt = gpu.barrier_exempt
             # All SMs done implies all done-or-exempt, and fewer than
             # nsms - |exempt| done SMs rules it out: only the lanes in
             # between need the mask test.
-            if exempt and nsms > last[i] >= nsms - len(exempt) and bool(
-                np.all(lanes[i][1].kernel_done_mask()
+            if exempt and nsms > ndone[i] >= nsms - len(exempt) and bool(
+                np.all(gpu.engine.kernel_done_mask()
                        | gpu._refresh_exempt_mask())
             ):
                 launch.append(i)
         for i in launch:
-            gpu, eng, mem = lanes[i]
+            gpu = gpus[i]
+            eng = gpu.engine
             eng._load_generation(eng.generation + 1)
             # _rebuild_cstate allocated a fresh struct; repoint.
-            ptrs[i] = eng._cstate_ptr
+            fused.ptrs[i] = eng._cstate_ptr
             gpu._generation = eng.generation
             gpu.kernels_launched += 1
             gpu.kernel_launch_cycles.append(gpu.cycle)
-        rc = fused.call(ptrs, fused.B, cycle, fused.ndone_ptr)
-        if rc < 0:
+        due = fused.call(fused.ptrs, fused.B, cycle)
+        if due < 0:
             raise RuntimeError("C engine pending-load heap overflow")
-        ndone = fused.ndone.tolist()
-        fused.last_ndone = ndone
-        slots = fused.slots.tolist()
-        counters = fused.counters
-        served_any = counters[:, 0].tolist()
-        for i, (gpu, eng, mem) in enumerate(lanes):
-            eng._c_ndone = ndone[i]
-            mem._next_service_slot = slots[i]
-            served = served_any[i]
-            if served:
-                mem.requests_served += served
-                mem.misses += int(counters[i, 1])
-                counters[i] = 0
+        fused.due = due
+        for gpu in gpus:
             gpu.cycle += 1
         np.copyto(out, fused.powers)
         return out

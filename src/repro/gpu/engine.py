@@ -171,6 +171,9 @@ class VectorizedGPUEngine:
         self._warp_done = np.zeros((S, W), dtype=bool)
         self._outstanding = np.zeros((S, W), dtype=np.int64)
         self._ready_at = np.full((S, W, 17), _NEVER, dtype=np.int64)
+        # Head readiness, the cycle from which each warp's next
+        # instruction can issue (_FAR once done); the C kernel keeps it
+        # in the same buffer as its head_ready cache.
         self._ready_cycle = np.full((S, W), _NEVER, dtype=np.int64)
         self._head_unit = np.zeros((S, W), dtype=np.int64)
         self._last_warp = np.full(S, -1, dtype=np.int64)
@@ -195,12 +198,13 @@ class VectorizedGPUEngine:
         self.backend = _resolve_backend(backend, self.num_warps)
         if self.backend == "c":
             self._clib = load_engine_lib()
-            self._cheap = np.zeros((S, self.HEAP_CAPACITY), dtype=np.int64)
+            # SM s's heap is column s (interleaved, see _enginec.c).
+            self._cheap = np.zeros((self.HEAP_CAPACITY, S), dtype=np.int64)
             self._cheap_len = np.zeros(S, dtype=np.int64)
-            self._mem_slot = np.zeros(1)
-            self._mem_counters = np.zeros(2, dtype=np.int64)
             self._powers_buf = np.zeros(S)
-            self._c_ndone = 0
+            # [0]: kernel-done SMs after the last C step (the kernel
+            # writes it; a batch may re-home it into a shared row).
+            self._ndone = np.zeros(1, dtype=np.int64)
         self._load_generation(0, first=True)
 
     @property
@@ -243,7 +247,7 @@ class VectorizedGPUEngine:
         self._miss_table = miss
         if self.backend == "c":
             self._rebuild_cstate()
-            self._c_ndone = 0
+            self._ndone[0] = 0
             return
         timings = self.memory.timings
         self._site_latency = np.where(
@@ -259,7 +263,9 @@ class VectorizedGPUEngine:
         Rebuilt at every kernel generation (the stream arrays and miss
         table change); all other pointers are stable but cheap to
         re-derive.  Holding the arrays as attributes keeps every pointer
-        alive for the struct's lifetime.
+        alive for the struct's lifetime.  The fresh struct's
+        ``heads_valid`` is 0, so its first step recomputes every warp's
+        cached head readiness.
         """
         st = self._streams
         timings = self.memory.timings
@@ -302,11 +308,12 @@ class VectorizedGPUEngine:
             outstanding=ptr(self._outstanding),
             warp_done=ptr(self._warp_done),
             ready_at=ptr(self._ready_at),
+            head_ready=ptr(self._ready_cycle),
             last_warp=ptr(self._last_warp),
             heap=ptr(self._cheap),
             heap_len=ptr(self._cheap_len),
-            mem_slot=ptr(self._mem_slot),
-            mem_counters=ptr(self._mem_counters),
+            mem_slot=ptr(self.memory._slot),
+            mem_counters=ptr(self.memory._counts),
             totals=ptr(self._totals),
             s_unit=ptr(st.unit),
             s_latency=ptr(st.latency),
@@ -319,6 +326,7 @@ class VectorizedGPUEngine:
             s_src2_col=ptr(st.src2_col),
             miss_table=ptr(self._miss_table),
             powers=ptr(self._powers_buf),
+            ndone=ptr(self._ndone),
         )
         self._cstate = cs
         self._cstate_ptr = ctypes.pointer(cs)
@@ -458,23 +466,13 @@ class VectorizedGPUEngine:
         if exempt_any:
             if bool(np.all(self.kernel_done_mask() | exempt)):
                 launched = True
-        elif self._c_ndone == self.num_sms:
+        elif self._ndone[0] == self.num_sms:
             launched = True
         if launched:
             self._load_generation(self.generation + 1)
 
-        mem = self.memory
-        self._mem_slot[0] = mem._next_service_slot
-        ndone = self._clib.engine_step(self._cstate_ptr, cycle)
-        if ndone < 0:
+        if self._clib.engine_step(self._cstate_ptr, cycle) < 0:
             raise RuntimeError("C engine pending-load heap overflow")
-        self._c_ndone = int(ndone)
-        mem._next_service_slot = self._mem_slot[0].item()
-        served, misses = self._mem_counters
-        if served:
-            mem.requests_served += int(served)
-            mem.misses += int(misses)
-            self._mem_counters[:] = 0
         if out is None:
             return self._powers_buf.copy(), launched
         np.copyto(out, self._powers_buf)

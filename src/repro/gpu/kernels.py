@@ -77,22 +77,47 @@ class KernelSpec:
             raise ValueError(f"body_length must be positive")
 
 
-def _draw_stream_fields(spec: KernelSpec, rng: np.random.Generator, length: int):
-    """The random draws behind one instruction stream, vectorized.
+def _draw_warp(rng: np.random.Generator, length: int) -> tuple:
+    """The generator draws behind one warp's stream, in their fixed order.
 
-    Shared by the per-object stream builder (:func:`_sample_stream`) and
-    the struct-of-arrays builder (:func:`stream_arrays`) so both consume
-    the generator identically — the draws, not the container, define the
-    workload.  Returns ``(classes, op_indices, use_chain, random_src1,
-    add_src2, random_src2)``.
+    The single definition of how a stream consumes its generator: every
+    builder calls this once per warp, in warp order, so streams drawn
+    from the same seed are identical whatever container they land in.
+    Returns ``(class_u, chain_u, random_src1, src2_u, random_src2)``.
     """
+    return (
+        rng.random(length),
+        rng.random(length),
+        rng.integers(0, _NUM_REGS, size=length),
+        rng.random(length),
+        rng.integers(0, _NUM_REGS, size=length),
+    )
+
+
+def _draw_streams(
+    spec: KernelSpec, rng: np.random.Generator, count: int, length: int
+) -> dict:
+    """``count`` warps' streams as ``(count, length)`` register columns.
+
+    Draws each warp with :func:`_draw_warp`, then derives every column
+    in one vectorized pass: the class from per-position phase profiles,
+    and the reference's sequential dest/chain recurrence as a running
+    maximum over writer positions.  Returns ``classes`` (the mix's
+    class order) and the ``op`` (index into ``classes``), ``dest`` (-1
+    for none), ``src1`` and ``src2`` (-1 when absent) columns.
+    """
+    class_u, chain_u, random_src1, src2_u, random_src2 = (
+        np.array(column) for column in zip(*(
+            _draw_warp(rng, length) for _ in range(count)
+        ))
+    )
     classes = list(spec.mix.keys())
     weights = np.array([spec.mix[c] for c in classes], dtype=float)
-    base_probs = weights / weights.sum()
-
-    # Per-position class probabilities (two alternating phase profiles).
-    positions = np.arange(length)
+    op = np.searchsorted(np.cumsum(weights / weights.sum()), class_u,
+                         side="right")
+    positions = np.arange(length, dtype=np.int64)
     if spec.phase_period > 0 and spec.phase_memory_boost > 0:
+        # Two alternating phase profiles: odd phases boost LOAD weight.
         boosted = np.array(
             [
                 spec.mix[c]
@@ -100,60 +125,50 @@ def _draw_stream_fields(spec: KernelSpec, rng: np.random.Generator, length: int)
                 for c in classes
             ]
         )
-        boosted = boosted / boosted.sum()
         in_memory_phase = (positions // spec.phase_period) % 2 == 1
-    else:
-        boosted = base_probs
-        in_memory_phase = np.zeros(length, dtype=bool)
+        op_boost = np.searchsorted(
+            np.cumsum(boosted / boosted.sum()), class_u, side="right"
+        )
+        op = np.where(in_memory_phase, op_boost, op)
+    op = np.clip(op, 0, len(classes) - 1)
 
-    uniform = rng.random(length)
-    cum_base = np.cumsum(base_probs)
-    cum_boost = np.cumsum(boosted)
-    idx_base = np.searchsorted(cum_base, uniform, side="right")
-    idx_boost = np.searchsorted(cum_boost, uniform, side="right")
-    op_indices = np.where(in_memory_phase, idx_boost, idx_base)
-    op_indices = np.clip(op_indices, 0, len(classes) - 1)
-
-    use_chain = rng.random(length) < spec.dependence
-    random_src1 = rng.integers(0, _NUM_REGS, size=length)
-    add_src2 = rng.random(length) < 0.5
-    random_src2 = rng.integers(0, _NUM_REGS, size=length)
-    return classes, op_indices, use_chain, random_src1, add_src2, random_src2
-
-
-def _sample_stream(
-    spec: KernelSpec, rng: np.random.Generator, length: int
-) -> List[Instruction]:
-    """Draw one instruction stream from the spec's statistics.
-
-    All random draws are vectorized — streams run to thousands of
-    instructions and this is the hot path of GPU construction.
-    """
-    classes, op_indices, use_chain, random_src1, add_src2, random_src2 = (
-        _draw_stream_fields(spec, rng, length)
+    has_dest_lut = np.array(
+        [
+            c is not InstructionClass.STORE and c is not InstructionClass.BRANCH
+            for c in classes
+        ],
+        dtype=bool,
     )
+    has_dest = has_dest_lut[op]
+    # src1 chains to the most recent written register strictly before
+    # the current position (the reference's running ``last_dest``);
+    # the register cursor advances on every instruction.
+    writer_pos = np.where(has_dest, positions, -1)
+    last_writer = np.empty((count, length), dtype=np.int64)
+    last_writer[:, :1] = -1
+    np.maximum.accumulate(writer_pos[:, :-1], axis=1, out=last_writer[:, 1:])
+    use_chain = (chain_u < spec.dependence) & (last_writer >= 0)
+    return {
+        "classes": classes,
+        "op": op,
+        "dest": np.where(has_dest, positions % _NUM_REGS, -1),
+        "src1": np.where(use_chain, last_writer % _NUM_REGS, random_src1),
+        "src2": np.where(src2_u < 0.5, random_src2, -1),
+    }
 
-    stream: List[Instruction] = []
-    last_dest = -1
-    next_reg = 0
-    for position in range(length):
-        op = classes[op_indices[position]]
-        dest = next_reg
-        next_reg = (next_reg + 1) % _NUM_REGS
-        src1 = (
-            last_dest
-            if (last_dest >= 0 and use_chain[position])
-            else int(random_src1[position])
+
+def _instructions(drawn: dict, warp: int) -> List[Instruction]:
+    """Row ``warp`` of :func:`_draw_streams` as Instruction objects."""
+    classes = drawn["classes"]
+    return [
+        Instruction(classes[op], dest, (src1, src2) if src2 >= 0 else (src1,))
+        for op, dest, src1, src2 in zip(
+            drawn["op"][warp].tolist(),
+            drawn["dest"][warp].tolist(),
+            drawn["src1"][warp].tolist(),
+            drawn["src2"][warp].tolist(),
         )
-        srcs = (
-            (src1, int(random_src2[position])) if add_src2[position] else (src1,)
-        )
-        if op is InstructionClass.STORE or op is InstructionClass.BRANCH:
-            dest = -1
-        stream.append(Instruction(op, dest, srcs))
-        if dest >= 0:
-            last_dest = dest
-    return stream
+    ]
 
 
 # Cache of generated base streams: under SPMD all 16 SMs request the
@@ -181,8 +196,10 @@ def _base_streams(
     key = _spec_cache_key(spec, seed, count)
     cached = _STREAM_CACHE.get(key)
     if cached is None:
-        rng = np.random.default_rng(seed)
-        cached = [_sample_stream(spec, rng, spec.body_length) for _ in range(count)]
+        drawn = _draw_streams(
+            spec, np.random.default_rng(seed), count, spec.body_length
+        )
+        cached = [_instructions(drawn, warp) for warp in range(count)]
         if len(_STREAM_CACHE) >= _STREAM_CACHE_LIMIT:
             _STREAM_CACHE.clear()
         _STREAM_CACHE[key] = cached
@@ -203,26 +220,19 @@ def build_warps(
     (the balance property that motivates GPU voltage stacking).
 
     ``jitter`` in [0, 1) perturbs each warp's stream length, modelling
-    per-SM thread-block tail imbalance; it draws from ``jitter_seed``
-    (unique per SM) so SMs diverge only in workload tails, not code.
+    per-SM thread-block tail imbalance (see :func:`jittered_lengths`);
+    a lengthened stream wraps around to its own head.
     """
-    if jitter < 0 or jitter >= 1:
-        raise ValueError(f"jitter must be in [0,1), got {jitter}")
-    jitter_rng = np.random.default_rng(seed if jitter_seed is None else jitter_seed)
     count = num_warps if num_warps is not None else spec.warps_per_sm
+    lengths = jittered_lengths(spec, count, jitter, jitter_seed, seed).tolist()
     base = _base_streams(spec, seed, count)
     warps: List[Warp] = []
-    for warp_id in range(count):
+    for warp_id, length in enumerate(lengths):
         stream = base[warp_id]
-        if jitter > 0:
-            scale = 1.0 + jitter * float(jitter_rng.uniform(-1.0, 1.0))
-            length = max(1, int(round(spec.body_length * scale)))
-            if length <= spec.body_length:
-                stream = stream[:length]
-            else:
-                stream = stream + stream[: length - spec.body_length]
+        if length <= spec.body_length:
+            stream = stream[:length]
         else:
-            stream = list(stream)
+            stream = stream + stream[: length - spec.body_length]
         warps.append(Warp(warp_id, stream))
     return warps
 
@@ -275,66 +285,6 @@ class StreamArrays:
     src2_col: np.ndarray
 
 
-def _stream_fields_to_arrays(
-    spec: KernelSpec, rng: np.random.Generator, length: int
-) -> dict:
-    """One warp's stream directly as column arrays.
-
-    Consumes the generator exactly like :func:`_sample_stream` (both call
-    :func:`_draw_stream_fields`); the sequential dest/chain recurrence is
-    replaced by a running-maximum over writer positions.
-    """
-    classes, op_indices, use_chain, random_src1, add_src2, random_src2 = (
-        _draw_stream_fields(spec, rng, length)
-    )
-    lat_lut = np.array([LATENCY[c] for c in classes], dtype=np.int64)
-    energy_lut = np.array([ENERGY[c] for c in classes], dtype=float)
-    unit_lut = np.array(
-        [_UNIT_INDEX[UNIT_FOR_CLASS[c]] for c in classes], dtype=np.int64
-    )
-    has_dest_lut = np.array(
-        [
-            c is not InstructionClass.STORE and c is not InstructionClass.BRANCH
-            for c in classes
-        ],
-        dtype=bool,
-    )
-    is_load_lut = np.array(
-        [c is InstructionClass.LOAD for c in classes], dtype=bool
-    )
-
-    positions = np.arange(length, dtype=np.int64)
-    has_dest = has_dest_lut[op_indices]
-    dest = np.where(has_dest, positions % _NUM_REGS, -1)
-
-    # src1 chains to the most recent written register strictly before the
-    # current position (the reference's running ``last_dest``).
-    writer_pos = np.where(has_dest, positions, -1)
-    last_writer = np.empty(length, dtype=np.int64)
-    if length:
-        last_writer[0] = -1
-        np.maximum.accumulate(writer_pos[:-1], out=last_writer[1:])
-    src1 = np.where(
-        use_chain & (last_writer >= 0), last_writer % _NUM_REGS, random_src1
-    )
-
-    latency = lat_lut[op_indices]
-    energy = energy_lut[op_indices]
-    span = np.clip(latency, 1, _SMEAR_LIMIT)
-    return {
-        "unit": unit_lut[op_indices],
-        "latency": latency,
-        "energy": energy,
-        "span": span,
-        "share": energy / span,
-        "is_load": is_load_lut[op_indices],
-        "dest": dest,
-        "dest_col": np.where(has_dest, dest, _NUM_REGS),
-        "src1_col": src1.astype(np.int64),
-        "src2_col": np.where(add_src2, random_src2, _NUM_REGS).astype(np.int64),
-    }
-
-
 _ARRAY_CACHE: dict = {}
 
 
@@ -342,25 +292,41 @@ def stream_arrays(spec: KernelSpec, seed: int, count: int) -> StreamArrays:
     """The kernel's base streams for one SM in struct-of-arrays form.
 
     Same cache discipline as :func:`_base_streams` (all SMs share the
-    (spec, seed) streams under SPMD), and drawn from an identically
-    consumed generator, so the arrays describe exactly the instructions
-    :func:`build_warps` would materialize as objects.
+    (spec, seed) streams under SPMD), and drawn by the same
+    :func:`_draw_streams`, so the arrays describe exactly the
+    instructions :func:`build_warps` materializes as objects.
     """
     key = _spec_cache_key(spec, seed, count)
     cached = _ARRAY_CACHE.get(key)
     if cached is None:
-        rng = np.random.default_rng(seed)
-        columns = [
-            _stream_fields_to_arrays(spec, rng, spec.body_length)
-            for _ in range(count)
-        ]
+        drawn = _draw_streams(
+            spec, np.random.default_rng(seed), count, spec.body_length
+        )
+        classes = drawn["classes"]
+        op = drawn["op"]
+        latency = np.array([LATENCY[c] for c in classes], dtype=np.int64)[op]
+        energy = np.array([ENERGY[c] for c in classes], dtype=float)[op]
+        span = np.clip(latency, 1, _SMEAR_LIMIT)
+        dest = drawn["dest"]
+        src2 = drawn["src2"]
         cached = StreamArrays(
             num_warps=count,
             body_length=spec.body_length,
-            **{
-                name: np.stack([c[name] for c in columns])
-                for name in columns[0]
-            },
+            unit=np.array(
+                [_UNIT_INDEX[UNIT_FOR_CLASS[c]] for c in classes],
+                dtype=np.int64,
+            )[op],
+            latency=latency,
+            energy=energy,
+            span=span,
+            share=energy / span,
+            is_load=np.array(
+                [c is InstructionClass.LOAD for c in classes], dtype=bool
+            )[op],
+            dest=dest,
+            dest_col=np.where(dest >= 0, dest, _NUM_REGS),
+            src1_col=drawn["src1"],
+            src2_col=np.where(src2 >= 0, src2, _NUM_REGS),
         )
         if len(_ARRAY_CACHE) >= _STREAM_CACHE_LIMIT:
             _ARRAY_CACHE.clear()
@@ -375,19 +341,19 @@ def jittered_lengths(
     jitter_seed: Optional[int],
     seed: int,
 ) -> np.ndarray:
-    """Per-warp stream lengths exactly as :func:`build_warps` assigns them.
+    """Per-warp stream lengths of one SM: the body scaled by jitter.
 
-    Replays the same jitter-generator consumption (one scalar draw per
-    warp, only when ``jitter > 0``); lengths beyond ``body_length`` mean
-    the stream wraps around to its own head.
+    Warp ``w``'s length is ``max(1, round(body * (1 + jitter * u_w)))``
+    with ``u_w`` the generator's ``w``-th ``uniform(-1, 1)`` draw (from
+    ``jitter_seed``, else ``seed``); no draws when ``jitter == 0``.
+    ``np.rint`` rounds half to even, like ``round``.  Lengths beyond
+    ``body_length`` mean the stream wraps around to its own head.
     """
     if jitter < 0 or jitter >= 1:
         raise ValueError(f"jitter must be in [0,1), got {jitter}")
     if jitter == 0:
         return np.full(count, spec.body_length, dtype=np.int64)
     jitter_rng = np.random.default_rng(seed if jitter_seed is None else jitter_seed)
-    lengths = np.empty(count, dtype=np.int64)
-    for warp_id in range(count):
-        scale = 1.0 + jitter * float(jitter_rng.uniform(-1.0, 1.0))
-        lengths[warp_id] = max(1, int(round(spec.body_length * scale)))
-    return lengths
+    scale = 1.0 + jitter * jitter_rng.uniform(-1.0, 1.0, size=count)
+    lengths = np.rint(spec.body_length * scale).astype(np.int64)
+    return np.maximum(lengths, 1)

@@ -9,6 +9,10 @@ GB/s channel limit of Table I reduced to their timing effect.
 SMs call :meth:`request` at issue time and receive the absolute cycle
 the value becomes ready; completion releases the destination register in
 the warp's scoreboard (handled by the SM).
+
+The queue slot and the served/miss counters live in small NumPy arrays
+that the compiled engine step updates in place (see :meth:`rehome`), so
+every reader sees exact values at any time without a per-cycle sync.
 """
 
 from __future__ import annotations
@@ -50,10 +54,35 @@ class MemorySystem:
         self.timings = timings
         self._seed = seed + 1
         self._rng = np.random.default_rng(seed)
-        # Earliest cycle at which the next request can start service.
-        self._next_service_slot = 0.0
-        self.requests_served = 0
-        self.misses = 0
+        # [0]: earliest cycle at which the next request can start service.
+        self._slot = np.zeros(1)
+        # [requests served, misses].
+        self._counts = np.zeros(2, dtype=np.int64)
+
+    def rehome(self, slot: np.ndarray, counts: np.ndarray) -> None:
+        """Move the queue slot and counters into caller-owned storage.
+
+        ``slot`` is a ``(1,)`` float64 view and ``counts`` a ``(2,)``
+        int64 view (e.g. rows of a batch's shared arrays); the current
+        values are copied in first.  Whoever holds raw pointers to the
+        old storage (a compiled engine state) must be repointed.
+        """
+        slot[:] = self._slot
+        counts[:] = self._counts
+        self._slot = slot
+        self._counts = counts
+
+    @property
+    def _next_service_slot(self) -> float:
+        return float(self._slot[0])
+
+    @property
+    def requests_served(self) -> int:
+        return int(self._counts[0])
+
+    @property
+    def misses(self) -> int:
+        return int(self._counts[1])
 
     def request(self, cycle: int, key: Optional[tuple] = None) -> int:
         """Issue a load at ``cycle``; return its completion cycle.
@@ -67,7 +96,7 @@ class MemorySystem:
         """
         slot_width = 1.0 / self.timings.requests_per_cycle
         start = max(float(cycle), self._next_service_slot)
-        self._next_service_slot = start + slot_width
+        self._slot[0] = start + slot_width
         queue_delay = start - cycle
         if key is not None:
             draw = self._site_hash(key)
@@ -75,10 +104,10 @@ class MemorySystem:
             draw = self._rng.random()
         if draw < self.miss_ratio:
             latency = self.timings.dram_cycles
-            self.misses += 1
+            self._counts[1] += 1
         else:
             latency = self.timings.l2_hit_cycles
-        self.requests_served += 1
+        self._counts[0] += 1
         return int(cycle + queue_delay + latency)
 
     def service_batch(self, cycle: int, latencies: np.ndarray, miss_count: int) -> np.ndarray:
@@ -99,11 +128,11 @@ class MemorySystem:
         increments = np.full(n, slot_width)
         increments[0] = max(float(cycle), self._next_service_slot)
         starts = np.cumsum(increments)
-        self._next_service_slot = float(starts[-1]) + slot_width
+        self._slot[0] = float(starts[-1]) + slot_width
         queue_delay = starts - float(cycle)
         completions = ((cycle + queue_delay) + latencies).astype(np.int64)
-        self.requests_served += n
-        self.misses += int(miss_count)
+        self._counts[0] += n
+        self._counts[1] += int(miss_count)
         return completions
 
     def site_miss_table(
@@ -118,17 +147,21 @@ class MemorySystem:
         """
         mask = (1 << 32) - 1
         c1, c2 = 0x7F4A7C15, 0x85EBCA6B
-        table = np.empty((num_warps, max_pc), dtype=bool)
-        pcs = np.arange(max_pc, dtype=np.uint64)
-        for warp_id in range(num_warps):
-            # First mixing step in Python ints: the seed product is taken
-            # unreduced in the reference, so it may exceed 64 bits.
-            h1 = ((self._seed * 0x9E3779B1) ^ (warp_id + c1)) * c2 & mask
-            h2 = ((np.uint64(h1) ^ (pcs + np.uint64(c1))) * np.uint64(c2)) & np.uint64(mask)
-            h3 = ((h2 ^ np.uint64((int(generation) + c1) & ((1 << 64) - 1))) * np.uint64(c2)) & np.uint64(mask)
-            draws = h3.astype(float) / float(1 << 32)
-            table[warp_id] = draws < self.miss_ratio
-        return table
+        # First mixing step in Python ints: the seed product is taken
+        # unreduced in the reference, so it may exceed 64 bits.
+        h1 = np.array(
+            [
+                ((self._seed * 0x9E3779B1) ^ (warp_id + c1)) * c2 & mask
+                for warp_id in range(num_warps)
+            ],
+            dtype=np.uint64,
+        )
+        u64 = np.uint64
+        pcs = np.arange(max_pc, dtype=u64)
+        h2 = ((h1[:, None] ^ (pcs + u64(c1))) * u64(c2)) & u64(mask)
+        gen_key = u64((int(generation) + c1) & ((1 << 64) - 1))
+        h3 = ((h2 ^ gen_key) * u64(c2)) & u64(mask)
+        return h3.astype(float) / float(1 << 32) < self.miss_ratio
 
     def _site_hash(self, key: tuple) -> float:
         """Stable uniform draw in [0, 1) from an access-site key."""
@@ -144,5 +177,4 @@ class MemorySystem:
         return self.misses / self.requests_served
 
     def reset_statistics(self) -> None:
-        self.requests_served = 0
-        self.misses = 0
+        self._counts[:] = 0

@@ -121,3 +121,55 @@ class TestFusedBarrierExempt:
             assert ma._next_service_slot == mb._next_service_slot
         # The exemptions really moved lane 0's launch barrier.
         assert lone[0].kernel_launch_cycles != plain.kernel_launch_cycles
+
+
+class TestFusedReadThrough:
+    """Readers of a fused lane see exact values at any cycle.
+
+    The compiled step updates each lane's memory-queue slot, counters
+    and kernel-done census in the batch's shared rows; MemorySystem and
+    the engine read through them, mid-run and after a quarantine-style
+    rebuild that re-homes the survivors into a new batch.
+    """
+
+    @staticmethod
+    def _assert_same(a, b, cycle):
+        ma, mb = a.memory, b.memory
+        assert (ma.requests_served, ma.misses, ma._next_service_slot) == (
+            mb.requests_served, mb.misses, mb._next_service_slot
+        ), cycle
+        assert np.array_equal(
+            a.engine.kernel_done_mask(), b.engine.kernel_done_mask()
+        ), cycle
+        assert a.kernel_launch_cycles == b.kernel_launch_cycles, cycle
+
+    @pytest.mark.skipif(load_engine_lib() is None,
+                        reason="compiled GPU engine unavailable")
+    def test_mid_run_and_after_rebuild(self):
+        seeds = [3, 8, 13]
+        lone = [_gpu(s, body=20) for s in seeds]
+        gpus = [_gpu(s, body=20) for s in seeds]
+        batch = GPUBatch(gpus)
+        out = np.empty((len(seeds), batch.num_sms))
+        for cycle in range(600):
+            batch.step_into(out)
+            for i, gpu in enumerate(lone):
+                assert np.array_equal(out[i], gpu.step()), (i, cycle)
+                self._assert_same(gpu, gpus[i], cycle)
+        assert batch._fused is not None
+        assert all(g.memory.requests_served > 0 for g in gpus)
+
+        # Lane 1 is evicted: the survivors move to a fresh batch, the
+        # evicted lane keeps stepping on its own.
+        survivors = GPUBatch([gpus[0], gpus[2]])
+        out = np.empty((2, survivors.num_sms))
+        for cycle in range(600, 1400):
+            survivors.step_into(out)
+            evicted = gpus[1].step()
+            assert np.array_equal(evicted, lone[1].step()), cycle
+            for row, i in enumerate((0, 2)):
+                assert np.array_equal(out[row], lone[i].step()), (i, cycle)
+            for a, b in zip(lone, gpus):
+                self._assert_same(a, b, cycle)
+        assert survivors._fused is not None
+        assert all(len(g.kernel_launch_cycles) > 2 for g in gpus)

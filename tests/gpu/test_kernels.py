@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.gpu.isa import InstructionClass
-from repro.gpu.kernels import KernelSpec, build_warps
+from repro.gpu.isa import ENERGY, LATENCY, UNIT_FOR_CLASS, InstructionClass
+from repro.gpu.kernels import (
+    UNIT_ORDER,
+    KernelSpec,
+    build_warps,
+    jittered_lengths,
+    stream_arrays,
+)
+from repro.workloads.benchmarks import BENCHMARK_NAMES, get_benchmark
 
 
 class TestSpecValidation:
@@ -106,3 +113,72 @@ class TestGeneration:
         compute_loads = compute_phase.count(InstructionClass.LOAD)
         memory_loads = memory_phase.count(InstructionClass.LOAD)
         assert memory_loads > 3 * compute_loads
+
+
+def _columns_of(instructions):
+    """The StreamArrays columns of one warp's Instruction objects."""
+    op = [i.op for i in instructions]
+    latency = np.array([LATENCY[c] for c in op], dtype=np.int64)
+    energy = np.array([ENERGY[c] for c in op], dtype=float)
+    span = np.clip(latency, 1, 6)
+    dest = np.array([i.dest for i in instructions], dtype=np.int64)
+    return {
+        "unit": np.array(
+            [UNIT_ORDER.index(UNIT_FOR_CLASS[c]) for c in op], dtype=np.int64
+        ),
+        "latency": latency,
+        "energy": energy,
+        "span": span,
+        "share": energy / span,
+        "is_load": np.array([c is InstructionClass.LOAD for c in op]),
+        "dest": dest,
+        "dest_col": np.where(dest >= 0, dest, 16),
+        "src1_col": np.array([i.srcs[0] for i in instructions],
+                             dtype=np.int64),
+        "src2_col": np.array(
+            [i.srcs[1] if len(i.srcs) > 1 else 16 for i in instructions],
+            dtype=np.int64,
+        ),
+    }
+
+
+class TestStreamArraysMatchBuildWarps:
+    """The engine's arrays and lengths equal build_warps' objects, bytewise."""
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_arrays_and_lengths(self, name):
+        bench = get_benchmark(name)
+        spec = bench.kernel
+        body, count = spec.body_length, spec.warps_per_sm
+        for seed in (0, 7, 7919 * 3 + 11):
+            arrays = stream_arrays(spec, seed, count)
+            for jitter in (0.0, bench.jitter, 0.5, 0.999):
+                for jitter_seed in (None, seed * 65_537 + 5):
+                    warps = build_warps(spec, seed, jitter=jitter,
+                                        jitter_seed=jitter_seed)
+                    lengths = jittered_lengths(spec, count, jitter,
+                                               jitter_seed, seed)
+                    assert lengths.dtype == np.int64
+                    assert lengths.tolist() == [
+                        len(w.instructions) for w in warps
+                    ]
+                    for w, warp in enumerate(warps):
+                        # A lengthened stream wraps to its own head.
+                        eff = np.arange(lengths[w]) % body
+                        want = _columns_of(warp.instructions)
+                        for field, column in want.items():
+                            got = getattr(arrays, field)[w, eff]
+                            assert got.dtype == column.dtype, field
+                            assert got.tobytes() == column.tobytes(), (
+                                name, seed, jitter, jitter_seed, w, field
+                            )
+
+    def test_lengths_are_jittered_around_body(self):
+        spec = KernelSpec("jl", body_length=100, warps_per_sm=64)
+        lengths = jittered_lengths(spec, 64, 0.999, 3, 0)
+        assert 1 <= lengths.min() and lengths.max() <= 200
+        assert len(set(lengths.tolist())) > 10
+
+    def test_lengths_validate_jitter(self):
+        with pytest.raises(ValueError, match="jitter"):
+            jittered_lengths(KernelSpec("jl"), 4, -0.1, None, 0)

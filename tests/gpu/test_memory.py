@@ -1,5 +1,6 @@
 """Tests for the shared memory system model."""
 
+import numpy as np
 import pytest
 
 from repro.gpu.memory import MemorySystem, MemoryTimings
@@ -60,3 +61,37 @@ class TestBandwidth:
         m.reset_statistics()
         assert m.requests_served == 0
         assert m.observed_miss_ratio == 0.0
+
+
+class TestSiteMissTable:
+    @pytest.mark.parametrize("seed", [0, 3, 2**40 + 7])
+    def test_table_matches_site_hash(self, seed):
+        m = MemorySystem(miss_ratio=0.4, seed=seed)
+        for generation in (0, 5, 2**33):
+            table = m.site_miss_table(6, 40, generation)
+            want = np.array([
+                [m._site_hash((w, pc, generation)) < m.miss_ratio
+                 for pc in range(40)]
+                for w in range(6)
+            ])
+            assert np.array_equal(table, want)
+
+
+class TestRehome:
+    def test_counters_read_through_new_storage(self):
+        m = MemorySystem(miss_ratio=1.0, seed=6)
+        m.request(0)
+        m.request(0)
+        slot = np.zeros(1)
+        counts = np.zeros(2, dtype=np.int64)
+        before = m._next_service_slot
+        m.rehome(slot, counts)
+        assert (m.requests_served, m.misses) == (2, 2)
+        assert m._next_service_slot == before == slot[0]
+        # Writers to the new storage (a compiled step) are seen as-is.
+        counts += 3
+        slot[0] = 9.5
+        assert (m.requests_served, m.misses) == (5, 5)
+        assert m._next_service_slot == 9.5
+        assert m.request(10) == 10 + m.timings.dram_cycles
+        assert counts.tolist() == [6, 6]
