@@ -1,9 +1,10 @@
 """GPU-model hot-path performance: vectorized engine vs reference SMs.
 
 Times the struct-of-arrays engine (``repro.gpu.engine``) against the
-retained per-object reference on a paper benchmark, asserting both the
-speedup floor and exact bit-identity of the per-cycle power traces (the
-engine's equivalence contract — see ``docs/performance.md``).
+per-object oracle (``tests/oracles/gpu_reference.py``) on a paper
+benchmark, asserting both the speedup floor and exact bit-identity of
+the per-cycle power traces (the engine's equivalence contract — see
+``docs/performance.md``).
 
 The engine has two step backends (a compiled C kernel and a pure-NumPy
 fallback); the floor applies to whatever backend resolves on this
@@ -32,6 +33,7 @@ from repro.gpu._cbuild import load_engine_lib
 from repro.gpu.batch import GPUBatch
 from repro.gpu.gpu import GPU
 from repro.workloads.benchmarks import BENCHMARK_NAMES, get_benchmark
+from tests.oracles.gpu_reference import ReferenceGPU
 
 BENCHMARK = "hotspot"
 COMPARE_CYCLES = 1500
@@ -50,15 +52,14 @@ def _record(fields: dict) -> None:
     RESULTS_FILE.write_text(json.dumps(data, indent=2) + "\n")
 
 
-def _make(vectorized: bool) -> GPU:
+def _make(vectorized: bool):
     spec = get_benchmark(BENCHMARK)
-    return GPU(
+    return (GPU if vectorized else ReferenceGPU)(
         spec.kernel,
         config=SystemConfig(),
         seed=SEED,
         miss_ratio=spec.miss_ratio,
         jitter=spec.jitter,
-        vectorized=vectorized,
     )
 
 

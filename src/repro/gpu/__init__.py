@@ -11,40 +11,31 @@ scheme interacts with:
   bandwidth limit;
 * the two architectural actuation hooks the paper adds — dynamic issue
   width scaling (DIWS, fractional widths via a down-counter window) and
-  fake instruction injection (FII) — plus per-SM frequency scaling and
-  execution-unit power gating for the collaborative power-management
-  studies;
+  fake instruction injection (FII) — plus per-SM frequency scaling,
+  execution-unit power gating and the gating-aware GATES scheduler for
+  the collaborative power-management studies;
 * a GPUWattch-style event power model emitting per-SM power every cycle.
 
-Two engines implement the model: the per-object reference
-(``StreamingMultiprocessor``) and the default vectorized
-struct-of-arrays engine (``VectorizedGPUEngine``), bit-identical to it
-— see ``docs/performance.md``.
+One engine implements the model: the struct-of-arrays
+``VectorizedGPUEngine`` (a compiled C step, or NumPy), held
+bit-identical to the per-object oracle in
+``tests/oracles/gpu_reference.py`` — see ``docs/performance.md``.
 """
 
 from repro.gpu.isa import InstructionClass, Instruction, UNIT_FOR_CLASS
-from repro.gpu.kernels import KernelSpec, build_warps
-from repro.gpu.warp import Warp, Scoreboard
-from repro.gpu.scheduler import GTOScheduler, GatingAwareScheduler
+from repro.gpu.kernels import KernelSpec
 from repro.gpu.memory import MemorySystem
 from repro.gpu.power import SMPowerModel
-from repro.gpu.sm import StreamingMultiprocessor
 from repro.gpu.engine import VectorizedGPUEngine
 from repro.gpu.gpu import GPU
 
 __all__ = [
     "GPU",
     "VectorizedGPUEngine",
-    "GTOScheduler",
-    "GatingAwareScheduler",
     "Instruction",
     "InstructionClass",
     "KernelSpec",
     "MemorySystem",
     "SMPowerModel",
-    "Scoreboard",
-    "StreamingMultiprocessor",
     "UNIT_FOR_CLASS",
-    "Warp",
-    "build_warps",
 ]

@@ -9,7 +9,7 @@ that the engine, CLI chaos scenario, and fallback tests poke.
 
 When no compiler is available or the build fails, :func:`load_engine_lib`
 returns ``None`` and the engine falls back to its pure-NumPy step path —
-same results (both are bit-identical to the per-object reference), just
+same results (both are bit-identical to the per-object oracle), just
 slower; the co-sim telemetry surfaces the count as
 ``gpu.backend_fallback``.  Setting ``REPRO_GPU_CBUILD=fail`` forces the
 build to fail (test hook); ``REPRO_GPU_CBUILD=quiet`` suppresses the
@@ -53,6 +53,7 @@ class CEngineState(ctypes.Structure):
         ("fake_rate", _PTR),
         ("freq_scale", _PTR),
         ("gated", _PTR),
+        ("prefer", _PTR),
         ("waking", _PTR),
         ("unit_idle", _PTR),
         ("leakage", _PTR),

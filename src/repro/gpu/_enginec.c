@@ -6,9 +6,9 @@
  * nominal clock cycle.
  *
  * The contract is bit-identical equivalence with the per-object Python
- * reference (repro.gpu.sm.StreamingMultiprocessor).  This file is a
- * direct sequential transliteration of SM.step() — same operation
- * order, same IEEE-754 double arithmetic:
+ * oracle (StreamingMultiprocessor in tests/oracles/gpu_reference.py).
+ * This file is a direct sequential transliteration of its step() — same
+ * operation order, same IEEE-754 double arithmetic:
  *
  *   - compile with -ffp-contract=off (no FMA contraction) and without
  *     -ffast-math, so double expressions evaluate exactly as CPython's;
@@ -67,6 +67,7 @@ typedef struct {
     double *fake_rate;
     double *freq_scale;
     u8 *gated;
+    u8 *prefer; /* (S,3) GATES preferred units; all set = plain GTO */
     i64 *waking; /* usable-at cycle; RA_NEVER when cleared */
     i64 *unit_idle;
     double *leakage;
@@ -215,6 +216,46 @@ static i64 gto_select(EngineState *st, i64 s, i64 cycle) {
     return best;
 }
 
+/* GATES select: GTO over a narrowed pool — the ready warps whose head
+ * unit is preferred, or every ready warp when there are none.  Greedy on
+ * the last-issued warp while it is in the pool, else the pool's oldest
+ * (remembered even when the issue is then blocked, like GTO). */
+static i64 gates_select(EngineState *st, i64 s, i64 cycle, const u8 *pref) {
+    i64 W = st->num_warps, body = st->body;
+    const i64 *hr = st->head_ready + s * W;
+    const i64 *pc = st->pc + s * W;
+    i64 any = -1, any_pc = 0, best = -1, best_pc = 0;
+    int last_pref = 0;
+    i64 last = st->last_warp[s];
+    for (i64 w = 0; w < W; w++) {
+        if (hr[w] > cycle)
+            continue;
+        i64 p = pc[w];
+        if (any < 0 || p < any_pc) {
+            any = w;
+            any_pc = p;
+        }
+        i64 e = p >= body ? p - body : p;
+        if (!pref[st->s_unit[w * body + e]])
+            continue;
+        if (w == last)
+            last_pref = 1;
+        if (best < 0 || p < best_pc) {
+            best = w;
+            best_pc = p;
+        }
+    }
+    if (any < 0)
+        return -1;
+    int narrowed = best >= 0;
+    if (!narrowed)
+        best = any; /* no preferred warp ready: the pool is all ready */
+    if (last >= 0 && hr[last] <= cycle && (last_pref || !narrowed))
+        return last;
+    st->last_warp[s] = best;
+    return best;
+}
+
 /* One nominal clock for every SM.  Returns the number of kernel-done
  * SMs at end of cycle (for the GPU's launch barrier, also stored in
  * *ndone), or -1 if a pending-load heap overflowed. */
@@ -284,8 +325,11 @@ i64 engine_step(EngineState *st, i64 cycle) {
         i64 iss_span[2];
         double iss_share[2];
 
+        const u8 *pref = st->prefer + s * 3;
+        const int gates = !(pref[0] && pref[1] && pref[2]);
         while (issued < 2 && st->budget[s] > 0) {
-            i64 w = gto_select(st, s, cycle);
+            i64 w = gates ? gates_select(st, s, cycle, pref)
+                          : gto_select(st, s, cycle);
             if (w < 0)
                 break;
             i64 p = st->pc[s * W + w];

@@ -2,7 +2,7 @@
 
 The batched co-simulator (``repro.sim.cosim.run_cosim_batch``) steps B
 scenarios per cycle.  The GPU timing model is already vectorized *within*
-one GPU (PR 5's struct-of-arrays engine); batching across scenarios
+one GPU (the struct-of-arrays engine); batching across scenarios
 lands as B independent engines behind one facade: per-lane state
 (kernels, RNG streams, barrier bookkeeping) stays exactly the serial
 model's, which is what keeps the batch bit-identical to B serial runs.
@@ -17,7 +17,7 @@ rows that the kernel updates in place, so a step costs no per-lane
 syncing.  Lanes with a non-empty barrier-exempt set (halted SMs under
 shutoff or power-gating faults) stay on the fused call: only their
 kernel-launch check differs, and it runs the serial exempt-aware test.
-A batch with any NumPy-engine lane steps every lane through its own
+A batch with any NumPy-backend lane steps every lane through its own
 ``GPU.step_into``.
 """
 
@@ -81,8 +81,8 @@ class GPUBatch:
         if len(sizes) != 1:
             raise ValueError(f"lanes must share num_sms, got {sorted(sizes)}")
         self.num_sms = sizes.pop()
-        # None = not yet probed, False = ineligible (NumPy engine lane).
-        self._fused: Optional[object] = None
+        # None = not yet probed or ineligible (a NumPy-backend lane).
+        self._fused: Optional[_FusedDispatch] = None
         self._fused_probed = False
 
     def __len__(self) -> int:
@@ -96,10 +96,7 @@ class GPUBatch:
 
     def _probe_fused(self) -> Optional[_FusedDispatch]:
         self._fused_probed = True
-        if not all(
-            gpu.vectorized and getattr(gpu.engine, "backend", "") == "c"
-            for gpu in self.gpus
-        ):
+        if not all(gpu.engine.backend == "c" for gpu in self.gpus):
             return None
         # Alignment is invariant once established: the fused call
         # advances every lane exactly one cycle per step_into, so

@@ -1,20 +1,34 @@
 """Struct-of-arrays GPU engine: all 16 SMs stepped as NumPy arrays.
 
-The per-object model (:class:`repro.gpu.sm.StreamingMultiprocessor`)
-walks Python objects per warp per cycle — scheduler scans, scoreboard
-dict lookups, a per-instruction modulo loop over the energy wheel — and
-the stage telemetry shows it dominating co-simulation wall time.  This
-module re-implements the *same* microarchitecture with the state held
-as ``(num_sms, ...)`` arrays, advancing every SM per cycle in one batch
-of vector operations.
+The GPU model is one engine holding every SM's state as
+``(num_sms, ...)`` arrays, advancing all SMs per cycle in one batch of
+vector operations (or one compiled C call, ``_enginec.c``).  It
+implements the SM microarchitecture of Fig. 6 at the fidelity the
+voltage-smoothing study needs:
 
-The contract with the retained reference is **bit-identical** output:
-per-cycle power vectors and every statistic match the per-object model
-exactly for the same seed.  That dictates the implementation at the
-float-operation level; where it matters the code notes which reference
-ordering it is preserving:
+* up to two warps dispatched per cycle, subject to the scoreboard, the
+  execution-block ports (:data:`UNIT_PORTS`) and the shared memory
+  system, picked by a greedy-then-oldest (GTO) scheduler;
+* **DIWS** — a down-counter grants ``round(width * DIWS_WINDOW)`` issue
+  slots per window, giving fractional effective widths;
+* **FII** — fake instructions fill leftover issue slots at a fractional
+  rate;
+* per-SM frequency scaling by clock masking (DFS) and per-unit power
+  gating with a :data:`WAKEUP_CYCLES` wake-up penalty (Warped-Gates PG);
+* **GATES** — the gating-aware scheduler of the PG study: a per-SM
+  ``prefer`` mask over the three units narrows GTO's pool to the ready
+  warps whose head instruction targets a preferred unit (all ready
+  warps when there are none).  The mask starts all-true, and with an
+  all-true mask GATES is GTO exactly.  The structural-hazard fallback
+  still scans every ready warp.
 
-* the DIWS budget uses the same ``round()`` (banker's) as the SM;
+The contract with the per-object oracle (``tests/oracles/
+gpu_reference.py``) is **bit-identical** output: per-cycle power
+vectors and every statistic match it exactly for the same seed.  That
+dictates the implementation at the float-operation level; where it
+matters the code notes which reference ordering it is preserving:
+
+* the DIWS budget uses the same ``round()`` (banker's) as the oracle;
 * the FII accumulator is drained by *sequential* ``-= 1.0`` steps, not
   one fused subtraction (``a - 1.0 - 1.0 != a - 2.0`` in floats);
 * energy-wheel deposits happen in reference order (first issue slot,
@@ -35,11 +49,10 @@ flight".  Stale pending-load heap entries survive kernel relaunch with
 the reference's exact semantics (release-if-pending against the *new*
 warp's scoreboard, unconditional outstanding-count decrement).
 
-The GPU facade (:class:`repro.gpu.gpu.GPU`) selects this engine by
-default (``vectorized=True``) and exposes per-SM views so existing
-consumers (experiments, tests) keep reading per-SM statistics and
-issuing per-SM actuation.  The Warped-Gates PG study needs the
-per-object scheduler coupling and keeps using the reference model.
+The GPU facade (:class:`repro.gpu.gpu.GPU`) owns one engine and exposes
+per-SM views (:class:`SMView`) so consumers (experiments, the
+Warped-Gates controller, tests) read per-SM statistics and issue per-SM
+actuation.
 """
 
 from __future__ import annotations
@@ -47,6 +60,7 @@ from __future__ import annotations
 import ctypes
 import heapq
 import os
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -57,14 +71,38 @@ from repro.gpu.kernels import (
     KernelSpec,
     StreamArrays,
     UNIT_ORDER,
-    build_warps,
     jittered_lengths,
     stream_arrays,
 )
 from repro.gpu.memory import MemorySystem
 from repro.gpu.power import IDLE_DYNAMIC_ENERGY, SMPowerModel
-from repro.gpu.sm import DIWS_WINDOW, SMStatistics, UNIT_PORTS, WAKEUP_CYCLES
-from repro.gpu.warp import Warp
+
+# Ports each execution block accepts per cycle (two 16-core blocks).
+UNIT_PORTS = {ExecUnit.ALU: 2, ExecUnit.SFU: 1, ExecUnit.LSU: 1}
+
+# Cycles a gated unit needs to wake before accepting work (Blackout).
+WAKEUP_CYCLES = 3
+
+DIWS_WINDOW = 10  # cycles per issue-budget window
+
+
+@dataclass
+class SMStatistics:
+    """Counters accumulated across a run."""
+
+    cycles: int = 0
+    active_cycles: int = 0
+    instructions_issued: int = 0
+    fake_instructions: int = 0
+    issue_stall_cycles: int = 0
+    kernels_completed: int = 0
+
+    @property
+    def issue_rate(self) -> float:
+        """Real warps issued per active cycle (paper band: 0.8-1.8)."""
+        if self.active_cycles == 0:
+            return 0.0
+        return self.instructions_issued / self.active_cycles
 
 _UNIT_INDEX: Dict[ExecUnit, int] = {u: i for i, u in enumerate(UNIT_ORDER)}
 _PORTS_INIT = np.array([UNIT_PORTS[u] for u in UNIT_ORDER], dtype=np.int64)
@@ -135,6 +173,9 @@ class VectorizedGPUEngine:
         self.fake_rate = np.zeros(S)
         self.frequency_scale = np.ones(S)
         self._gated = np.zeros((S, 3), dtype=bool)
+        # GATES: units whose warps the scheduler prefers, written by the
+        # Warped-Gates controller (all True: plain GTO).
+        self.prefer = np.ones((S, 3), dtype=bool)
         # Mirrored Python sets: fed the same add/discard sequence as the
         # reference SM's ``gated_units`` so leakage_w's set-iteration
         # float-sum order is identical.
@@ -221,10 +262,10 @@ class VectorizedGPUEngine:
     def _load_generation(self, generation: int, first: bool = False) -> None:
         """(Re)launch the kernel on every SM — the global barrier.
 
-        Matches :meth:`StreamingMultiprocessor.start_new_kernel`: fresh
-        warps (PCs, scoreboards, outstanding counts), scheduler reset,
-        ``kernels_completed`` bumped — while the pending-load heaps keep
-        their stale entries, exactly like the reference.
+        Fresh warps (PCs, scoreboards, outstanding counts), scheduler
+        reset, ``kernels_completed`` bumped — while the pending-load heaps
+        keep their stale entries and the GATES preference persists,
+        exactly like the reference's per-SM kernel launch.
         """
         self.generation = generation
         seed = self._base_seed + 7919 * generation
@@ -289,6 +330,7 @@ class VectorizedGPUEngine:
             fake_rate=ptr(self.fake_rate),
             freq_scale=ptr(self.frequency_scale),
             gated=ptr(self._gated),
+            prefer=ptr(self.prefer),
             waking=ptr(self._waking),
             unit_idle=ptr(self.unit_idle),
             leakage=ptr(self._leakage),
@@ -524,16 +566,25 @@ class VectorizedGPUEngine:
             wave_deposits = []
 
             elig = part & (self._issue_budget > 0)
+            gates = not bool(self.prefer.all())
             for wave in range(2):
                 if not bool(elig.any()):
                     break
                 ready = self._ready_cycle <= cycle
+                pool = ready
+                if gates:
+                    # GATES pool: ready warps with a preferred head unit,
+                    # or every ready warp when there are none.
+                    preferred = ready & self.prefer[rows[:, None], self._head_unit]
+                    pool = np.where(
+                        preferred.any(axis=1)[:, None], preferred, ready
+                    )
                 last = self._last_warp
                 safe_last = np.where(last >= 0, last, 0)
-                greedy = elig & (last >= 0) & ready[rows, safe_last]
+                greedy = elig & (last >= 0) & pool[rows, safe_last]
                 any_ready = elig & ready.any(axis=1)
                 key = self._pc * W + self._wids
-                oldest = np.argmin(np.where(ready, key, _FAR), axis=1)
+                oldest = np.argmin(np.where(pool, key, _FAR), axis=1)
                 # GTO falls back to oldest-and-*remembers it* even when
                 # the subsequent issue is blocked by a structural hazard.
                 np.copyto(self._last_warp, oldest, where=any_ready & ~greedy)
@@ -689,6 +740,22 @@ class VectorizedGPUEngine:
             self._next_pending[s] = heap[0][0] if heap else _FAR
         self._refresh_heads(np.asarray(refresh_s), np.asarray(refresh_w))
 
+    def demanded_units(self, sm_id: int) -> Set[ExecUnit]:
+        """Units that some unfinished warp's next instruction targets.
+
+        Read from the live PCs and the current generation's streams, so
+        it follows every issue — the demand the Warped-Gates controller
+        wakes a gated unit for.
+        """
+        st = self._streams
+        pc = self._pc[sm_id]
+        live = pc < self._length[sm_id]
+        body = st.body_length
+        head = pc[live]
+        head = np.where(head >= body, head - body, head)
+        units = st.unit[self._wids[live], head].tolist()
+        return {UNIT_ORDER[u] for u in set(units)}
+
     # ------------------------------------------------------------------
     # Derived statistics
     # ------------------------------------------------------------------
@@ -758,17 +825,15 @@ class _SMStatsView:
 class SMView:
     """Per-SM facade over the vectorized engine.
 
-    Presents the :class:`StreamingMultiprocessor` surface that
-    experiments and tests use — actuation setters, live statistics,
-    gating, and the (lazily materialized) warp list describing the
-    current kernel generation's streams.
+    The per-SM surface that experiments, the Warped-Gates controller
+    and tests use — actuation setters, live statistics, gating, head
+    demand and the GATES preference.
     """
 
     def __init__(self, engine: VectorizedGPUEngine, sm_id: int) -> None:
         self._engine = engine
         self.sm_id = sm_id
         self.stats = _SMStatsView(engine, sm_id)
-        self._warps_cache: Optional[Tuple[int, List[Warp]]] = None
 
     # -- actuation ------------------------------------------------------
     @property
@@ -810,6 +875,14 @@ class SMView:
             for i, unit in enumerate(UNIT_ORDER)
         }
 
+    def demanded_units(self) -> Set[ExecUnit]:
+        return self._engine.demanded_units(self.sm_id)
+
+    def prefer_ungated_units(self) -> None:
+        """GATES: prefer the units not gated right now (a snapshot)."""
+        engine = self._engine
+        np.logical_not(engine._gated[self.sm_id], out=engine.prefer[self.sm_id])
+
     # -- execution state ------------------------------------------------
     @property
     def _kernel_generation(self) -> int:
@@ -818,25 +891,3 @@ class SMView:
     @property
     def kernel_done(self) -> bool:
         return bool(self._engine.kernel_done_mask()[self.sm_id])
-
-    @property
-    def warps(self) -> List[Warp]:
-        """The current generation's warps, materialized as objects.
-
-        A *workload description* (instruction streams and jittered
-        lengths exactly as the reference would build them), not live
-        execution state — the engine holds PCs and scoreboards as
-        arrays.  Cached per kernel generation.
-        """
-        engine = self._engine
-        gen = engine.generation
-        if self._warps_cache is None or self._warps_cache[0] != gen:
-            seed = engine._base_seed + 7919 * gen
-            jseed = engine._jitter_seeds[self.sm_id] + 7919 * gen
-            self._warps_cache = (
-                gen,
-                build_warps(
-                    engine.kernel, seed, jitter=engine.jitter, jitter_seed=jseed
-                ),
-            )
-        return self._warps_cache[1]

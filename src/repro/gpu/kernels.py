@@ -2,9 +2,10 @@
 
 A :class:`KernelSpec` describes a GPU kernel statistically — instruction
 mix, memory intensity, dependence density, warp count, body length —
-and :func:`build_warps` expands it into concrete per-warp instruction
-streams with register dependencies.  All randomness flows through an
-explicit seed so every simulation is reproducible.
+and :func:`stream_arrays` expands it into concrete per-warp instruction
+streams with register dependencies, held as ``(warps, body)`` arrays.
+All randomness flows through an explicit seed so every simulation is
+reproducible.
 
 The specs are how the twelve paper benchmarks are realized (see
 ``repro.workloads.benchmarks``): each benchmark is a KernelSpec tuned to
@@ -15,7 +16,7 @@ phase-structured backprop, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -24,10 +25,8 @@ from repro.gpu.isa import (
     LATENCY,
     UNIT_FOR_CLASS,
     ExecUnit,
-    Instruction,
     InstructionClass,
 )
-from repro.gpu.warp import Warp
 
 # Register file window each warp cycles through; small enough to create
 # realistic read-after-write dependence chains.
@@ -157,23 +156,6 @@ def _draw_streams(
     }
 
 
-def _instructions(drawn: dict, warp: int) -> List[Instruction]:
-    """Row ``warp`` of :func:`_draw_streams` as Instruction objects."""
-    classes = drawn["classes"]
-    return [
-        Instruction(classes[op], dest, (src1, src2) if src2 >= 0 else (src1,))
-        for op, dest, src1, src2 in zip(
-            drawn["op"][warp].tolist(),
-            drawn["dest"][warp].tolist(),
-            drawn["src1"][warp].tolist(),
-            drawn["src2"][warp].tolist(),
-        )
-    ]
-
-
-# Cache of generated base streams: under SPMD all 16 SMs request the
-# same (spec, seed) streams, so generation runs once per GPU, not per SM.
-_STREAM_CACHE: dict = {}
 _STREAM_CACHE_LIMIT = 64
 
 
@@ -190,53 +172,6 @@ def _spec_cache_key(spec: KernelSpec, seed: int, count: int) -> tuple:
     )
 
 
-def _base_streams(
-    spec: KernelSpec, seed: int, count: int
-) -> List[List[Instruction]]:
-    key = _spec_cache_key(spec, seed, count)
-    cached = _STREAM_CACHE.get(key)
-    if cached is None:
-        drawn = _draw_streams(
-            spec, np.random.default_rng(seed), count, spec.body_length
-        )
-        cached = [_instructions(drawn, warp) for warp in range(count)]
-        if len(_STREAM_CACHE) >= _STREAM_CACHE_LIMIT:
-            _STREAM_CACHE.clear()
-        _STREAM_CACHE[key] = cached
-    return cached
-
-
-def build_warps(
-    spec: KernelSpec,
-    seed: int,
-    num_warps: Optional[int] = None,
-    jitter: float = 0.0,
-    jitter_seed: Optional[int] = None,
-) -> List[Warp]:
-    """Materialize the kernel's warps for one SM.
-
-    ``seed`` draws the instruction streams; under the SPMD execution
-    model every SM passes the *same* seed so all SMs run identical code
-    (the balance property that motivates GPU voltage stacking).
-
-    ``jitter`` in [0, 1) perturbs each warp's stream length, modelling
-    per-SM thread-block tail imbalance (see :func:`jittered_lengths`);
-    a lengthened stream wraps around to its own head.
-    """
-    count = num_warps if num_warps is not None else spec.warps_per_sm
-    lengths = jittered_lengths(spec, count, jitter, jitter_seed, seed).tolist()
-    base = _base_streams(spec, seed, count)
-    warps: List[Warp] = []
-    for warp_id, length in enumerate(lengths):
-        stream = base[warp_id]
-        if length <= spec.body_length:
-            stream = stream[:length]
-        else:
-            stream = stream + stream[: length - spec.body_length]
-        warps.append(Warp(warp_id, stream))
-    return warps
-
-
 # --------------------------------------------------------------------------
 # Struct-of-arrays stream representation (vectorized GPU engine)
 # --------------------------------------------------------------------------
@@ -245,9 +180,11 @@ def build_warps(
 UNIT_ORDER = (ExecUnit.ALU, ExecUnit.SFU, ExecUnit.LSU)
 _UNIT_INDEX = {unit: idx for idx, unit in enumerate(UNIT_ORDER)}
 
-# Energy-smear bounds mirrored from the SM model (kept in sync with
-# repro.gpu.sm; the arrays bake span/share in so the engine's hot loop
-# never touches per-instruction Python objects).
+# An instruction's dynamic energy is drawn over this many cycles of
+# pipeline occupancy (bounded by its latency), which sets the spectral
+# content of the SM's power trace as seen by the PDN.  The arrays bake
+# span/share in so the engine's hot loop never touches per-instruction
+# Python objects.
 _SMEAR_LIMIT = 6
 
 
@@ -291,10 +228,11 @@ _ARRAY_CACHE: dict = {}
 def stream_arrays(spec: KernelSpec, seed: int, count: int) -> StreamArrays:
     """The kernel's base streams for one SM in struct-of-arrays form.
 
-    Same cache discipline as :func:`_base_streams` (all SMs share the
-    (spec, seed) streams under SPMD), and drawn by the same
-    :func:`_draw_streams`, so the arrays describe exactly the
-    instructions :func:`build_warps` materializes as objects.
+    ``seed`` draws the streams with :func:`_draw_streams`; under the SPMD
+    execution model every SM passes the *same* seed, so all SMs run
+    identical code (the balance property that motivates GPU voltage
+    stacking) and the table is built once per GPU, not per SM.  Per-SM
+    lengths come from :func:`jittered_lengths`.
     """
     key = _spec_cache_key(spec, seed, count)
     cached = _ARRAY_CACHE.get(key)

@@ -12,20 +12,24 @@ leakage, using
 * **Blackout** — once gated, a unit is forced to stay gated at least
   ``blackout_cycles`` before waking, preventing thrashing;
 
-and pairs with the gating-aware two-level scheduler (GATES,
-:class:`repro.gpu.scheduler.GatingAwareScheduler`), which steers issue
-toward already-on units so idle windows stretch past break-even.
+and pairs with the gating-aware two-level scheduler (GATES), which
+steers issue toward already-on units so idle windows stretch past
+break-even.  The controller drives an SM view of the GPU engine
+(:class:`repro.gpu.engine.SMView`): it reads live head-instruction
+demand from the engine and, at the end of each step, writes the SM's
+GATES preference — the units not gated at that moment.  The preference
+is that snapshot, not the live gate state: a unit the hypervisor wakes
+later in the same cycle stays unpreferred until the next step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
+from repro.gpu.engine import SMView
 from repro.gpu.isa import ExecUnit
 from repro.gpu.power import LEAKAGE_SHARE
-from repro.gpu.scheduler import GatingAwareScheduler
-from repro.gpu.sm import StreamingMultiprocessor
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ class WarpedGatesController:
 
     def __init__(
         self,
-        sm: StreamingMultiprocessor,
+        sm: SMView,
         config: PowerGatingConfig = PowerGatingConfig(),
     ) -> None:
         self.sm = sm
@@ -80,13 +84,16 @@ class WarpedGatesController:
     def step(self, cycle: int) -> None:
         """One gating decision per cycle, before the SM executes it."""
         cfg = self.config
+        demand = None
         for unit in cfg.gateable_units:
             if unit in self.sm.gated_units:
                 self.stats.gated_cycles[unit] += 1
                 gated_for = cycle - self._gated_since[unit]
                 if gated_for < cfg.blackout_cycles:
                     continue  # Blackout: hold the gate
-                if self._demand_for(unit):
+                if demand is None:
+                    demand = self.sm.demanded_units()
+                if unit in demand:
                     if gated_for < cfg.break_even_cycles:
                         self.stats.premature_wakes += 1
                     self.sm.ungate_unit(unit, cycle)
@@ -96,20 +103,7 @@ class WarpedGatesController:
                     self.sm.gate_unit(unit)
                     self._gated_since[unit] = cycle
                     self.stats.gating_events += 1
-        self._update_scheduler()
-
-    def _demand_for(self, unit: ExecUnit) -> bool:
-        """Does any ready warp's next instruction target ``unit``?"""
-        for warp in self.sm.warps:
-            instruction = warp.peek()
-            if instruction is not None and instruction.unit is unit:
-                return True
-        return False
-
-    def _update_scheduler(self) -> None:
-        if isinstance(self.sm.scheduler, GatingAwareScheduler):
-            active = [u for u in ExecUnit if u not in self.sm.gated_units]
-            self.sm.scheduler.set_active_units(active)
+        self.sm.prefer_ungated_units()
 
     # ------------------------------------------------------------------
     def leakage_energy_saved_j(

@@ -115,10 +115,6 @@ class CosimConfig:
     # observe / commands_for / throttled_cycles) — used by the
     # prior-art ablation (e.g. GlobalThrottleController).
     controller_object: Optional[object] = field(default=None, compare=False)
-    # GPU engine selection: the vectorized struct-of-arrays engine is
-    # bit-identical to the per-object reference (repro.gpu.engine), so
-    # this only matters when deliberately exercising the reference.
-    vectorized_gpu: bool = True
     # Numerical guard-rails (repro.circuits.SolverGuard): detect
     # non-finite / blown-up solves once per cycle and recover by
     # refactorizing, then substep halving, before declaring the run
@@ -502,10 +498,7 @@ class _BatchLaneState:
             memory = dict(miss_ratio=spec.miss_ratio, jitter=spec.jitter)
         else:
             kernel, self.name, memory = lane.kernel, lane.kernel.name, {}
-        self.gpu = GPU(
-            kernel, config=system, seed=config.seed,
-            vectorized=config.vectorized_gpu, **memory,
-        )
+        self.gpu = GPU(kernel, config=system, seed=config.seed, **memory)
         self.pdn = build_stacked_pdn(
             stack=stack, params=params, cr_ivr_area_mm2=config.cr_ivr_area_mm2
         )

@@ -81,7 +81,7 @@ class PowerManagementResult:
         return self.input_energy_j() / self.instructions
 
 
-def _build_gpu(benchmark: str, seed: int, gating_aware: bool = False) -> GPU:
+def _build_gpu(benchmark: str, seed: int) -> GPU:
     spec = get_benchmark(benchmark)
     return GPU(
         spec.kernel,
@@ -89,7 +89,6 @@ def _build_gpu(benchmark: str, seed: int, gating_aware: bool = False) -> GPU:
         seed=seed,
         miss_ratio=spec.miss_ratio,
         jitter=spec.jitter,
-        gating_aware_scheduler=gating_aware,
     )
 
 
@@ -170,7 +169,7 @@ def run_pg_experiment(
     gating state is re-validated through Algorithm 2: gatings that push
     a column's leakage imbalance past budget are woken back up.
     """
-    gpu = _build_gpu(benchmark, seed, gating_aware=True)
+    gpu = _build_gpu(benchmark, seed)
     controllers = [WarpedGatesController(sm, pg_config) for sm in gpu.sms]
     hypervisor = VSAwareHypervisor() if stacked else None
 

@@ -9,7 +9,8 @@ statistics and the pending-load heaps (as sorted entry lists: the C
 heap and ``heapq`` sift differently, so only their contents must
 agree).  The scenarios target the cache's refresh points:
 short kernels with many relaunches and stale heap entries, DFS-masked
-cycles, gated and waking units, and 32-warp SMs.
+cycles, gated and waking units, and 32-warp SMs — plus the GATES
+scheduler under per-SM preference masks that change mid-run.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ pytestmark = pytest.mark.skipif(
 )
 
 STATE = (
-    "_pc", "_length", "_warp_done", "_outstanding", "_ready_at",
+    "prefer", "_pc", "_length", "_warp_done", "_outstanding", "_ready_at",
     "_ready_cycle", "_last_warp", "_window_start", "_issue_budget",
     "_fake_acc", "_clock_acc", "_wheel", "_wheel_pos", "unit_idle",
     "stat_cycles", "stat_active", "stat_instructions", "stat_fakes",
@@ -143,6 +144,48 @@ class TestReadinessCache:
                 gpu.sms[sm].ungate_unit(unit, cycle)
 
         _lockstep(ref, fast, 800, actuate)
+
+    def test_gates_preference_with_gated_and_waking_units(self, monkeypatch):
+        """GATES pools differ per SM and change mid-run: all-true rows
+        (plain GTO), all-false rows (pool = every ready warp) and mixed
+        rows, over gating, waking and kernel relaunches."""
+        spec = KernelSpec(
+            "gates",
+            mix={
+                InstructionClass.FALU: 0.4,
+                InstructionClass.SFU: 0.3,
+                InstructionClass.LOAD: 0.3,
+            },
+            dependence=0.1,
+            body_length=40,
+            warps_per_sm=6,
+        )
+        ref, fast = _pair(monkeypatch, spec, seed=21, miss_ratio=0.1,
+                          jitter=0.2)
+        rng = np.random.default_rng(5)
+        masks = {int(c): rng.integers(0, 2, (16, 3)).astype(bool)
+                 for c in range(0, 1500, 60)}
+        units = list(ExecUnit)
+        # Each unit gated at cycle c starts waking 25 cycles later.
+        gating = {}
+        for c in rng.integers(0, 1500, 120).tolist():
+            sm, unit = int(rng.integers(0, 16)), units[int(rng.integers(0, 3))]
+            gating.setdefault(c, []).append((sm, unit, True))
+            gating.setdefault(c + 25, []).append((sm, unit, False))
+
+        def actuate(gpu, cycle):
+            if cycle in masks:
+                gpu.engine.prefer[:] = masks[cycle]
+                gpu.engine.prefer[cycle % 16] = True
+            for sm, unit, gate in gating.get(cycle, ()):
+                if gate:
+                    gpu.sms[sm].gate_unit(unit)
+                else:
+                    gpu.sms[sm].ungate_unit(unit, cycle)
+
+        _lockstep(ref, fast, 1500, actuate)
+        assert ref.kernels_launched >= 3
+        assert not ref.engine.prefer.all()
 
     def test_32_warp_bfs(self, monkeypatch):
         bench = get_benchmark("bfs")

@@ -1,7 +1,8 @@
 """Equivalence contract of the vectorized GPU engine (property-based).
 
 The struct-of-arrays engine (``repro.gpu.engine``) must be
-*bit-identical* to the per-object reference SMs for the same seed —
+*bit-identical* to the per-object reference SMs
+(``tests/oracles/gpu_reference.py``) for the same seed —
 power traces, statistics, kernel-launch accounting and shared-memory
 counters — under any kernel shape, actuation schedule, DFS setting,
 power gating sequence and fault scenario.  These tests drive both
@@ -20,6 +21,8 @@ from repro.gpu.gpu import GPU
 from repro.gpu.isa import ExecUnit, InstructionClass
 from repro.gpu.kernels import KernelSpec
 from repro.sim.cosim import CosimConfig, run_cosim
+from tests.oracles.gpu_reference import ReferenceGPU
+from tests.oracles.serial_cosim import run_serial_cosim
 
 STAT_FIELDS = (
     "cycles",
@@ -80,10 +83,8 @@ class TestRandomizedEquivalence:
     )
     @settings(max_examples=20, deadline=None)
     def test_kernel_space(self, spec, seed, jitter, miss, cycles):
-        ref = GPU(spec, seed=seed, miss_ratio=miss, jitter=jitter,
-                  vectorized=False)
-        vec = GPU(spec, seed=seed, miss_ratio=miss, jitter=jitter,
-                  vectorized=True)
+        ref = ReferenceGPU(spec, seed=seed, miss_ratio=miss, jitter=jitter)
+        vec = GPU(spec, seed=seed, miss_ratio=miss, jitter=jitter)
         _assert_equivalent(ref, vec, cycles)
 
     @given(
@@ -120,8 +121,8 @@ class TestRandomizedEquivalence:
             else:
                 gpu.sms[sm].ungate_unit(unit, cycle)
 
-        ref = GPU(spec, seed=seed, miss_ratio=0.3, vectorized=False)
-        vec = GPU(spec, seed=seed, miss_ratio=0.3, vectorized=True)
+        ref = ReferenceGPU(spec, seed=seed, miss_ratio=0.3)
+        vec = GPU(spec, seed=seed, miss_ratio=0.3)
         _assert_equivalent(ref, vec, cycles, actuate)
 
 
@@ -130,16 +131,13 @@ class TestFaultScenarioEquivalence:
 
     @pytest.mark.parametrize("scenario", sorted(CANNED_SCENARIOS))
     def test_cosim_fault_scenario(self, scenario):
-        results = []
-        for vectorized in (True, False):
-            config = CosimConfig(
-                cycles=900,
-                warmup_cycles=100,
-                faults=CANNED_SCENARIOS[scenario](),
-                vectorized_gpu=vectorized,
-            )
-            results.append(run_cosim("hotspot", config=config))
-        vec, ref = results
+        config = CosimConfig(
+            cycles=900,
+            warmup_cycles=100,
+            faults=CANNED_SCENARIOS[scenario](),
+        )
+        vec = run_cosim("hotspot", config=config)
+        ref = run_serial_cosim("hotspot", config=config, gpu_cls=ReferenceGPU)
         assert np.array_equal(vec.power_trace.data, ref.power_trace.data)
         assert np.array_equal(vec.sm_voltages, ref.sm_voltages)
         assert vec.instructions == ref.instructions
@@ -152,7 +150,7 @@ class TestBackends:
     def test_env_override_selects_numpy(self, monkeypatch):
         monkeypatch.setenv("REPRO_GPU_BACKEND", "numpy")
         assert _resolve_backend("auto", 12) == "numpy"
-        gpu = GPU(KernelSpec("np-backend", body_length=50), vectorized=True)
+        gpu = GPU(KernelSpec("np-backend", body_length=50))
         assert gpu.engine.backend == "numpy"
 
     def test_numpy_and_c_backends_agree(self, monkeypatch):
@@ -164,8 +162,7 @@ class TestBackends:
         traces = {}
         for backend in ("numpy", "c"):
             monkeypatch.setenv("REPRO_GPU_BACKEND", backend)
-            gpu = GPU(spec, seed=5, miss_ratio=0.4, jitter=0.1,
-                      vectorized=True)
+            gpu = GPU(spec, seed=5, miss_ratio=0.4, jitter=0.1)
             traces[backend] = gpu.run(800)
         assert np.array_equal(traces["numpy"], traces["c"])
 
@@ -183,7 +180,7 @@ class TestEngineSurface:
     def test_setter_prefix_semantics_on_bad_frequency(self):
         """A bad frequency scale raises after applying earlier SMs
         (the reference's zip-iteration semantics)."""
-        gpu = GPU(KernelSpec("prefix", body_length=40), vectorized=True)
+        gpu = GPU(KernelSpec("prefix", body_length=40))
         scales = np.full(16, 0.5)
         scales[10] = -1.0
         with pytest.raises(ValueError):
@@ -192,8 +189,8 @@ class TestEngineSurface:
         assert gpu.sms[11].frequency_scale == 1.0
 
     def test_nan_issue_width_clamps_to_zero(self):
-        ref = GPU(KernelSpec("nan", body_length=40), vectorized=False)
-        vec = GPU(KernelSpec("nan", body_length=40), vectorized=True)
+        ref = ReferenceGPU(KernelSpec("nan", body_length=40))
+        vec = GPU(KernelSpec("nan", body_length=40))
         for gpu in (ref, vec):
             gpu.set_issue_widths(np.full(16, np.nan))
         assert (
@@ -203,14 +200,14 @@ class TestEngineSurface:
         )
 
     def test_gated_units_view(self):
-        gpu = GPU(KernelSpec("gate", body_length=40), vectorized=True)
+        gpu = GPU(KernelSpec("gate", body_length=40))
         gpu.sms[2].gate_unit(ExecUnit.SFU)
         assert gpu.sms[2].gated_units == {ExecUnit.SFU}
         gpu.sms[2].ungate_unit(ExecUnit.SFU, 10)
         assert gpu.sms[2].gated_units == set()
 
     def test_totals_are_o1_counters(self):
-        gpu = GPU(KernelSpec("tot", body_length=60), vectorized=True)
+        gpu = GPU(KernelSpec("tot", body_length=60))
         gpu.run(200)
         engine = gpu.engine
         assert gpu.total_instructions() == int(engine.stat_instructions.sum())

@@ -13,12 +13,12 @@ import pytest
 from repro.gpu import GPU, KernelSpec
 from repro.gpu._cbuild import load_engine_lib
 from repro.gpu.batch import GPUBatch
+from tests.oracles.gpu_reference import ReferenceGPU
 
 
 def _gpu(seed, vectorized=True, body=250):
-    return GPU(
+    return (GPU if vectorized else ReferenceGPU)(
         KernelSpec("t", body_length=body), seed=seed, jitter=0.05,
-        vectorized=vectorized,
     )
 
 

@@ -7,11 +7,11 @@ from repro.gpu.isa import ENERGY, LATENCY, UNIT_FOR_CLASS, InstructionClass
 from repro.gpu.kernels import (
     UNIT_ORDER,
     KernelSpec,
-    build_warps,
     jittered_lengths,
     stream_arrays,
 )
 from repro.workloads.benchmarks import BENCHMARK_NAMES, get_benchmark
+from tests.oracles.gpu_reference import build_warps
 
 
 class TestSpecValidation:

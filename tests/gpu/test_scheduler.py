@@ -1,8 +1,7 @@
-"""Tests for the GTO and gating-aware warp schedulers."""
+"""Tests for the GPU oracle's GTO and gating-aware warp schedulers."""
 
 from repro.gpu.isa import ExecUnit, Instruction, InstructionClass
-from repro.gpu.scheduler import GatingAwareScheduler, GTOScheduler
-from repro.gpu.warp import Warp
+from tests.oracles.gpu_reference import GatingAwareScheduler, GTOScheduler, Warp
 
 
 def alu_warp(warp_id, n=4):

@@ -1,4 +1,4 @@
-"""Tests for the streaming multiprocessor model."""
+"""Tests for the per-object streaming multiprocessor of the GPU oracle."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.gpu.isa import ExecUnit, InstructionClass
 from repro.gpu.kernels import KernelSpec
 from repro.gpu.memory import MemorySystem
-from repro.gpu.sm import DIWS_WINDOW, StreamingMultiprocessor
+from tests.oracles.gpu_reference import DIWS_WINDOW, StreamingMultiprocessor
 
 
 def make_sm(seed=0, kernel=None, rearm=True, **kernel_kwargs):

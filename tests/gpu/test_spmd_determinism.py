@@ -14,19 +14,22 @@ import numpy as np
 import pytest
 
 from repro.gpu import GPU, KernelSpec
-from repro.gpu.kernels import build_warps
 from repro.gpu.memory import MemorySystem
+from tests.oracles.gpu_reference import ReferenceGPU, build_warps
 
 
 class TestSharedStreams:
+    """Per-SM warp objects exist only in the per-object oracle, whose
+    construction (stream seed, per-SM jitter seeds) the engine shares."""
+
     def test_same_seed_same_streams_across_sms(self):
-        gpu = GPU(KernelSpec("t", body_length=100), seed=5)
+        gpu = ReferenceGPU(KernelSpec("t", body_length=100), seed=5)
         reference = [i.op for i in gpu.sms[0].warps[0].instructions]
         for sm in gpu.sms[1:]:
             assert [i.op for i in sm.warps[0].instructions] == reference
 
     def test_jitter_differs_across_sms(self):
-        gpu = GPU(KernelSpec("t", body_length=200), seed=5, jitter=0.2)
+        gpu = ReferenceGPU(KernelSpec("t", body_length=200), seed=5, jitter=0.2)
         lengths = {len(sm.warps[0].instructions) for sm in gpu.sms}
         assert len(lengths) > 1
 
@@ -113,7 +116,10 @@ class TestKernelBarrier:
 class TestDIWSWindowSemantics:
     def test_budget_refreshes_each_window(self):
         from repro.gpu.memory import MemorySystem
-        from repro.gpu.sm import DIWS_WINDOW, StreamingMultiprocessor
+        from tests.oracles.gpu_reference import (
+            DIWS_WINDOW,
+            StreamingMultiprocessor,
+        )
 
         spec = KernelSpec("t", body_length=400, dependence=0.0)
         sm = StreamingMultiprocessor(

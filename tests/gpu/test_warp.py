@@ -1,9 +1,9 @@
-"""Unit tests for warp state and the scoreboard."""
+"""Unit tests for the GPU oracle's warp state and scoreboard."""
 
 import pytest
 
 from repro.gpu.isa import Instruction, InstructionClass
-from repro.gpu.warp import PENDING_MEMORY, Scoreboard, Warp
+from tests.oracles.gpu_reference import PENDING_MEMORY, Scoreboard, Warp
 
 
 def alu(dest, *srcs):

@@ -37,26 +37,26 @@ def run_serial_cosim(
     params: PDNParameters = DEFAULT_PDN,
     kernel: Optional[KernelSpec] = None,
     flight=None,
+    gpu_cls=GPU,
 ) -> CosimResult:
     """One scenario, one cycle at a time; same contract as ``run_cosim``.
 
     ``flight`` is an optional :class:`repro.telemetry.FlightRecorder`,
-    sampled every cycle and attached as ``result.flight``.
+    sampled every cycle and attached as ``result.flight``.  ``gpu_cls``
+    builds the GPU: the engine-backed ``GPU``, or
+    ``tests.oracles.gpu_reference.ReferenceGPU`` for a run that shares
+    no GPU code with the batch loop either.
     """
     stack = system.stack
     if kernel is None:
         spec = get_benchmark(benchmark)
-        gpu = GPU(
+        gpu = gpu_cls(
             spec.kernel, config=system, seed=config.seed,
             miss_ratio=spec.miss_ratio, jitter=spec.jitter,
-            vectorized=config.vectorized_gpu,
         )
         name = spec.name
     else:
-        gpu = GPU(
-            kernel, config=system, seed=config.seed,
-            vectorized=config.vectorized_gpu,
-        )
+        gpu = gpu_cls(kernel, config=system, seed=config.seed)
         name = kernel.name
 
     pdn = build_stacked_pdn(

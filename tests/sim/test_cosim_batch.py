@@ -5,12 +5,12 @@ accounting regressions that rode along with it.
 serial loop in ``tests/oracles/serial_cosim.py`` is its bit-identity
 oracle — a B-lane batch must reproduce B independent serial runs *byte
 for byte*, for every field of every :class:`CosimResult`, under mixed
-benchmarks, seeds, controller gains, disabled controllers, per-object
-GPU lanes and canned fault scenarios.  These tests drive both paths
-side by side (randomized via hypothesis and through canned scenarios)
-and pin the three accounting bugfixes: decision-array ownership at the
-control boundary, completed kernel-interval counting, and
-applied-vs-commanded DCC ledgering.
+benchmarks, seeds, controller gains, disabled controllers, the
+per-object oracle GPU and canned fault scenarios.  These tests drive
+both paths side by side (randomized via hypothesis and through canned
+scenarios) and pin the three accounting bugfixes: decision-array
+ownership at the control boundary, completed kernel-interval counting,
+and applied-vs-commanded DCC ledgering.
 """
 
 import numpy as np
@@ -22,6 +22,7 @@ from repro.circuits._solverc import BACKEND_ENV
 from repro.core.controller import ControlDecision, ControllerConfig
 from repro.core.prior_art import GlobalThrottleController
 from repro.faults.scenarios import CANNED_SCENARIOS
+from repro.gpu.gpu import GPU
 from repro.sim.cosim import (
     CosimConfig,
     CosimLane,
@@ -30,6 +31,7 @@ from repro.sim.cosim import (
     run_cosim_batch,
 )
 from repro.telemetry.flight import FlightRecorder
+from tests.oracles.gpu_reference import ReferenceGPU
 from tests.oracles.serial_cosim import run_serial_cosim
 
 CYCLES = 260
@@ -61,11 +63,12 @@ def _assert_result_equal(batch, serial, label=""):
     assert batch.fault_report == serial.fault_report, label
 
 
-def _check_batch(lanes):
+def _check_batch(lanes, gpu_cls=GPU):
     batch = run_cosim_batch(lanes)
     assert len(batch) == len(lanes)
     for i, (lane, result) in enumerate(zip(lanes, batch)):
-        serial = run_serial_cosim(lane.benchmark, config=lane.config)
+        serial = run_serial_cosim(lane.benchmark, config=lane.config,
+                                  gpu_cls=gpu_cls)
         _assert_result_equal(result, serial, label=f"lane {i} ({lane.benchmark})")
 
 
@@ -128,14 +131,13 @@ class TestRandomizedBatchEquivalence:
         _check_batch(lanes)
 
     def test_per_object_gpu_lane(self):
-        """A non-vectorized lane batches with vectorized ones."""
+        """Batched lanes equal the serial oracle on the per-object GPU."""
         _check_batch([
             CosimLane("hotspot", CosimConfig(
                 cycles=CYCLES, warmup_cycles=WARMUP, seed=3)),
             CosimLane("srad", CosimConfig(
-                cycles=CYCLES, warmup_cycles=WARMUP, seed=4,
-                vectorized_gpu=False)),
-        ])
+                cycles=CYCLES, warmup_cycles=WARMUP, seed=4)),
+        ], gpu_cls=ReferenceGPU)
 
     def test_single_lane_batch(self):
         _check_batch([
