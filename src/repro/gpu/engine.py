@@ -239,8 +239,12 @@ class VectorizedGPUEngine:
         self.backend = _resolve_backend(backend, self.num_warps)
         if self.backend == "c":
             self._clib = load_engine_lib()
-            # SM s's heap is column s (interleaved, see _enginec.c).
-            self._cheap = np.zeros((self.HEAP_CAPACITY, S), dtype=np.int64)
+            # SM s's heap is column s (interleaved, see _enginec.c).  The
+            # C step reads only entries below _cheap_len, so the 0.5 MB
+            # buffer stays uninitialized: zeroing it would make every page
+            # resident whenever malloc serves it from reused heap memory,
+            # which varies peak RSS by ~0.5 MB per lane from run to run.
+            self._cheap = np.empty((self.HEAP_CAPACITY, S), dtype=np.int64)
             self._cheap_len = np.zeros(S, dtype=np.int64)
             self._powers_buf = np.zeros(S)
             # [0]: kernel-done SMs after the last C step (the kernel

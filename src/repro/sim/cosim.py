@@ -22,6 +22,7 @@ keeps running.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional
@@ -641,6 +642,21 @@ def _buffers(rows: int, num: int, flight_lanes: list):
     )
 
 
+
+def _record_block(shape: tuple) -> np.ndarray:
+    """An uninitialized float block on its own anonymous mapping.
+
+    The recorded waveforms (several MB at B=64) outlive the call as
+    views in the results.  Taking them from malloc would raise glibc's
+    sliding mmap threshold when they are freed, so later runs place
+    them, and the engines' large buffers, in the brk heap, where
+    fragmentation moves peak RSS from run to run.  A mapping of their
+    own is returned to the OS when the last result view drops.
+    """
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(8 * count, 1))
+    return np.frombuffer(buf, dtype=float, count=count).reshape(shape)
+
 def _flush_flights(
     lanes: List[_BatchLaneState], stage: np.ndarray, staged: int
 ) -> None:
@@ -839,9 +855,9 @@ def _run_lanes(
 
     powers_bt = np.empty((num_lanes, num))
     dcc_bt = np.zeros((num_lanes, num))
-    powers_rec_bt = np.empty((num_lanes, cycles, num))
-    sm_voltages_bt = np.empty((num_lanes, cycles, num))
-    supply_bt = np.empty((num_lanes, cycles))
+    powers_rec_bt = _record_block((num_lanes, cycles, num))
+    sm_voltages_bt = _record_block((num_lanes, cycles, num))
+    supply_bt = _record_block((num_lanes, cycles))
     dcc_accum = np.zeros(num_lanes)
     dcc_applied = np.zeros(num_lanes)
     event_lanes = [
